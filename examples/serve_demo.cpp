@@ -147,7 +147,7 @@ int run_demo(const Options& opts) {
 
   std::printf("%s\n", render_load_reports(reports, "serving load (closed + open loop)").c_str());
 
-  const ServerStats stats = server.stats();
+  const BackendStats stats = server.stats();
   std::printf("feature cache: %llu accesses, hit rate %.3f, reuse %.2f, %llu bytes read\n",
               static_cast<unsigned long long>(stats.feature_cache.accesses),
               stats.feature_cache.hit_rate(), stats.feature_cache.reuse(),

@@ -1,14 +1,12 @@
 // The unified serving contract every tier implements.
 //
-// The serving stack grew three entry points with three incompatible APIs:
-// InferenceServer::submit, ReplicaGroup + Router::infer_batch, and the
-// serve_sharded free-function driver. ServingBackend is the one polymorphic
-// contract behind all of them — submit with deadline/priority metadata,
-// batch inference, snapshot publication, queue-depth introspection, drain —
-// so read scaling (replication) and memory scaling (sharding) compose: a
-// Router can front any mix of backends, a ReplicaGroup can replicate
-// ShardedServers, and admission control / traffic generation / the embedding
-// cache apply uniformly to every tier.
+// ServingBackend is the one polymorphic contract behind every serving tier —
+// submit with deadline/priority/tenant metadata, batch inference, snapshot
+// publication, queue-depth introspection, drain — so read scaling
+// (replication) and memory scaling (sharding) compose: a Router can front
+// any mix of backends, a ReplicaGroup can replicate ShardedServers, and
+// admission control / traffic generation / the embedding cache apply
+// uniformly to every tier.
 //
 // The concrete implementations form a tower:
 //
@@ -16,6 +14,9 @@
 //   ShardedServer              P ranks over a vertex-cut feature shard
 //   ReplicaGroup               N identical backends + version-barriered publish
 //   ComposedTier               R ShardedServer replicas x P shards + Router
+//
+// The two leaves share one request lifecycle (serve/request_lifecycle.hpp):
+// admission, reply, stats and traces are written once.
 //
 // Every implementation keeps the bitwise-equality contract: with the same
 // (snapshot, sample_seed, fanouts), an admitted request's logits are
@@ -37,11 +38,6 @@
 
 namespace distgnn::serve {
 
-/// One stats snapshot shape for every tier (subsumes the former ServerStats /
-/// GroupStats / ShardedRankStats). Leaf backends fill the scalar counters;
-/// composite backends aggregate their members' snapshots into the parent
-/// counters and keep the per-member detail in `children` (per replica for a
-/// group, per rank for a sharded server).
 /// Per-tenant slice of a stats snapshot. Leaf backends tally their own
 /// lanes; absorb() merges children's lanes by tenant id, so the per-tenant
 /// dimension is scraped through the same stats tree as everything else.
@@ -56,6 +52,10 @@ struct TenantCounters {
   }
 };
 
+/// One stats snapshot shape for every tier. Leaf backends fill the scalar
+/// counters; composite backends aggregate their members' snapshots into the
+/// parent counters and keep the per-member detail in `children` (per replica
+/// for a group, per rank for a sharded server).
 struct BackendStats {
   /// Human-readable identity of the backend this snapshot describes (a
   /// registry entry's tenant name, empty for anonymous members).
@@ -220,12 +220,6 @@ class ServingBackend : public obs::ScrapeSource {
   bool submit(vid_t vertex, std::function<void(InferResult&&)> done) {
     return submit(vertex, RequestMeta{}, std::move(done));
   }
-  /// Pre-tenancy spelling, kept as a non-virtual alias for one release.
-  bool submit(vid_t vertex, ServeClock::time_point deadline, Priority priority,
-              std::function<void(InferResult&&)> done) {
-    return submit(vertex, RequestMeta{deadline, priority, kDefaultTenant, nullptr},
-                  std::move(done));
-  }
 
   /// Blocking batch: one entry per vertex, nullopt where the request was not
   /// admitted. The default implementation submits through the virtual
@@ -235,12 +229,6 @@ class ServingBackend : public obs::ScrapeSource {
                                                               const RequestMeta& meta);
   std::vector<std::optional<InferResult>> infer_batch(std::span<const vid_t> vertices) {
     return infer_batch(vertices, RequestMeta{});
-  }
-  /// Pre-tenancy spelling, kept as a non-virtual alias for one release.
-  std::vector<std::optional<InferResult>> infer_batch(std::span<const vid_t> vertices,
-                                                      ServeClock::time_point deadline,
-                                                      Priority priority) {
-    return infer_batch(vertices, RequestMeta{deadline, priority, kDefaultTenant, nullptr});
   }
 
   /// Blocking convenience wrapper for closed-loop clients and tests. The

@@ -1,6 +1,6 @@
 // Asynchronous halo feature fetching for the sharded serving tier.
 //
-// serve_sharded's gather has two sides: owned rows come straight out of the
+// ShardedServer's gather has two sides: owned rows come straight out of the
 // rank's feature shard (through the local cache space), while halo rows —
 // sampled neighbours owned by another rank — need a point-to-point
 // request/response round trip. Synchronously, that round trip stalls the
@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "comm/world.hpp"
@@ -86,7 +87,9 @@ class HaloFetcher {
   /// begin order — the FIFO channel contract above.
   void finish_fetch(HaloBatch& batch);
 
-  const HaloFetchStats& stats() const { return stats_; }
+  /// Counters accumulated since the previous call, which resets them: the
+  /// rank loop hands each batch's share to its stats lane.
+  HaloFetchStats take_stats() { return std::exchange(stats_, HaloFetchStats{}); }
 
  private:
   Communicator& comm_;

@@ -38,9 +38,6 @@
 
 namespace distgnn::serve {
 
-/// Aggregated replica view (children = per replica); see BackendStats.
-using GroupStats = BackendStats;
-
 class ReplicaGroup : public ServingBackend {
  public:
   /// Builds any backend; called once per replica index at construction.

@@ -471,7 +471,7 @@ LoadReport run_router_open_loop(Router& router, const RouterLoadConfig& config) 
                                                                           : Priority::kHigh);
   }
 
-  const GroupStats before = group.stats();
+  const BackendStats before = group.stats();
   LatencyRecorder latencies;
   util::Mutex done_mutex;
   util::CondVar done_cv;
@@ -505,7 +505,7 @@ LoadReport run_router_open_loop(Router& router, const RouterLoadConfig& config) 
   }
   const double duration = std::chrono::duration<double>(ServeClock::now() - begin).count();
 
-  const GroupStats after = group.stats();
+  const BackendStats after = group.stats();
   LoadReport report;
   report.label = std::string(config.arrivals.process == ArrivalProcess::kPoisson ? "poisson"
                                                                                  : "mmpp") +

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <stdexcept>
+#include <thread>
 
 #include "partition/partition_setup.hpp"
-#include "serve/inference_server.hpp"
 #include "serve/prefetch.hpp"
 
 namespace distgnn::serve {
@@ -34,13 +35,11 @@ std::vector<part_t> vertex_owners(const EdgeList& edges, const EdgePartition& pa
 ShardedServer::ShardedServer(const Dataset& dataset, const EdgePartition& partition,
                              ShardedServeConfig config)
     : dataset_(dataset),
-      num_vertices_(dataset.num_vertices()),
       config_(std::move(config)),
       num_parts_(partition.num_parts),
+      life_(dataset, config_, partition.num_parts, "ShardedServer", "sharded"),
       world_(partition.num_parts) {
   if (num_parts_ < 1) throw std::invalid_argument("ShardedServer: need >= 1 partition part");
-  if (config_.max_batch < 1) throw std::invalid_argument("ShardedServer: max_batch must be >= 1");
-  if (config_.fanouts.empty()) throw std::invalid_argument("ShardedServer: fanouts empty");
   if (config_.prefetch_depth < 1)
     throw std::invalid_argument("ShardedServer: prefetch_depth must be >= 1");
 
@@ -51,89 +50,26 @@ ShardedServer::ShardedServer(const Dataset& dataset, const EdgePartition& partit
   const std::size_t f = static_cast<std::size_t>(dataset_.feature_dim());
   local_index_.resize(static_cast<std::size_t>(num_parts_));
   local_feats_.resize(static_cast<std::size_t>(num_parts_));
-  {
-    std::vector<std::vector<vid_t>> owned(static_cast<std::size_t>(num_parts_));
-    for (vid_t v = 0; v < dataset_.num_vertices(); ++v)
-      owned[static_cast<std::size_t>(owner_[static_cast<std::size_t>(v)])].push_back(v);
-    for (part_t p = 0; p < num_parts_; ++p) {
-      auto& ids = owned[static_cast<std::size_t>(p)];
-      DenseMatrix& rows = local_feats_[static_cast<std::size_t>(p)];
-      rows.resize_discard(ids.size(), f);
-      for (std::size_t li = 0; li < ids.size(); ++li) {
-        const real_t* src = dataset_.features.row(static_cast<std::size_t>(ids[li]));
-        std::copy(src, src + f, rows.row(li));
-        local_index_[static_cast<std::size_t>(p)].emplace(ids[li], li);
-      }
+  std::vector<std::vector<vid_t>> owned(static_cast<std::size_t>(num_parts_));
+  for (vid_t v = 0; v < dataset_.num_vertices(); ++v)
+    owned[static_cast<std::size_t>(owner_[static_cast<std::size_t>(v)])].push_back(v);
+  for (part_t p = 0; p < num_parts_; ++p) {
+    auto& ids = owned[static_cast<std::size_t>(p)];
+    DenseMatrix& rows = local_feats_[static_cast<std::size_t>(p)];
+    rows.resize_discard(ids.size(), f);
+    for (std::size_t li = 0; li < ids.size(); ++li) {
+      const real_t* src = dataset_.features.row(static_cast<std::size_t>(ids[li]));
+      std::copy(src, src + f, rows.row(li));
+      local_index_[static_cast<std::size_t>(p)].emplace(ids[li], li);
     }
   }
-
-  queues_.reserve(static_cast<std::size_t>(num_parts_));
-  caches_.reserve(static_cast<std::size_t>(num_parts_));
-  rank_states_.reserve(static_cast<std::size_t>(num_parts_));
-  for (part_t p = 0; p < num_parts_; ++p) {
-    queues_.push_back(std::make_unique<BoundedRequestQueue>(config_.queue_capacity));
-    caches_.push_back(std::make_unique<ShardedFeatureCache>(config_.cache_bytes, f,
-                                                            config_.cache_shards));
-    rank_states_.push_back(std::make_unique<RankState>());
-  }
-  {
-    util::MutexLock lock(embed_mutex_);
-    embed_caches_.resize(static_cast<std::size_t>(num_parts_));
-  }
-
-  // Hot-swap hygiene for the per-rank layer-output caches (entries are
-  // version-keyed, so this frees capacity rather than preventing staleness).
-  holder_.set_on_publish([this](std::uint64_t) {
-    util::MutexLock lock(embed_mutex_);
-    for (auto& cache : embed_caches_)
-      if (cache) cache->invalidate();
-  });
-
-  (void)dataset_.graph.in_csr();  // build once before the rank threads start
 }
 
 ShardedServer::~ShardedServer() { stop(); }
 
-void ShardedServer::publish(std::shared_ptr<const ModelSnapshot> snapshot) {
-  if (!snapshot) throw std::invalid_argument("ShardedServer: null snapshot");
-  const ModelSpec& spec = snapshot->spec();
-  if (spec.num_layers != static_cast<int>(config_.fanouts.size()))
-    throw std::invalid_argument("ShardedServer: fanouts depth != model layers");
-  if (spec.feature_dim != dataset_.feature_dim())
-    throw std::invalid_argument("ShardedServer: snapshot feature_dim != dataset");
-  if (spec.kind == ModelKind::kRgcn) {
-    // Same typed-edge contract as InferenceServer: relation labels must be
-    // present and match, and RGCN has no layer-cached embed-forward path.
-    if (dataset_.num_edge_types != spec.num_relations)
-      throw std::invalid_argument("ShardedServer: snapshot num_relations != dataset edge types");
-    if (config_.embed_forward)
-      throw std::invalid_argument("ShardedServer: embed_forward does not support RGCN");
-  }
-  if (config_.embed_forward && config_.embed_cache_bytes > 0) {
-    util::MutexLock lock(embed_mutex_);
-    if (!embed_caches_.front()) {
-      // First publish fixes the cached row widths (as in InferenceServer);
-      // capacity is split across ranks so the sharded tier's total embed
-      // budget matches a single server's embed_cache_bytes.
-      const std::uint64_t per_rank =
-          std::max<std::uint64_t>(1, config_.embed_cache_bytes /
-                                         static_cast<std::uint64_t>(num_parts_));
-      for (auto& cache : embed_caches_)
-        cache = std::make_unique<EmbedCache>(spec, per_rank, config_.embed_cache_shards,
-                                             static_cast<std::uint64_t>(dataset_.num_vertices()));
-    } else {
-      for (int l = 1; l <= spec.num_layers; ++l)
-        if (embed_caches_.front()->dim(l) != spec.out_dim(l - 1))
-          throw std::invalid_argument("ShardedServer: snapshot dims != embed cache dims");
-    }
-  }
-  holder_.publish(std::move(snapshot));
-}
-
 void ShardedServer::start() {
   if (running_.load(std::memory_order_acquire)) return;
-  if (!holder_.get()) throw std::logic_error("ShardedServer: start() before publish()");
-  for (auto& queue : queues_) queue->reopen();
+  life_.open();
   done_ranks_.store(0, std::memory_order_release);
   driver_ = std::thread([this] { world_.run([this](Communicator& comm) { rank_loop(comm); }); });
   running_.store(true, std::memory_order_release);
@@ -141,193 +77,24 @@ void ShardedServer::start() {
 
 void ShardedServer::stop() {
   if (!running_.load(std::memory_order_acquire)) return;
-  for (auto& queue : queues_) queue->close();  // no new admissions; drain the rest
+  life_.close();  // no new admissions; drain the rest
   driver_.join();
   running_.store(false, std::memory_order_release);
 }
 
 bool ShardedServer::submit(vid_t vertex, const RequestMeta& meta,
                            std::function<void(InferResult&&)> done) {
-  if (vertex < 0 || vertex >= num_vertices_)
-    throw std::out_of_range("ShardedServer: vertex id out of range");
-  const auto enqueue = ServeClock::now();
-  InferRequest request;
-  request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  request.vertex = vertex;
-  request.enqueue = enqueue;
-  request.deadline = meta.deadline;
-  request.priority = meta.priority;
-  request.tenant = meta.tenant;
-  request.done = std::move(done);
-  // Trace stamping happens entirely before the push (the rank thread owns
-  // the request after the pop; the queue mutex orders the hand-off).
-  if (meta.trace) {
-    request.trace = meta.trace;
-  } else if (config_.trace_sample_rate > 0 &&
-             obs::trace_sampled(request.id, meta.tenant, config_.trace_sample_rate)) {
-    request.trace = std::make_shared<obs::TraceContext>(
-        request.id, meta.tenant, static_cast<std::int64_t>(vertex), enqueue);
-  }
-  const auto pre_push = ServeClock::now();
-  if (request.trace) {
-    request.trace->set_stage(obs::Stage::kAdmit, enqueue, pre_push);
-    request.trace->begin_stage(obs::Stage::kQueue, pre_push);
-  }
-  const part_t target = owner_[static_cast<std::size_t>(vertex)];
-  // Admitted is counted before the push so a drain() that starts after this
-  // submit returns can never miss the request (the rejection path undoes it).
-  admitted_.fetch_add(1, std::memory_order_release);
-  if (queues_[static_cast<std::size_t>(target)]->try_push(std::move(request))) {
-    stage_metrics_.submitted.with(meta.tenant).add();
-    stage_metrics_.observe_stage(obs::Stage::kAdmit, meta.tenant,
-                                 std::chrono::duration<double>(pre_push - enqueue).count());
-    return true;
-  }
-  admitted_.fetch_sub(1, std::memory_order_release);
-  rejected_.fetch_add(1, std::memory_order_relaxed);
-  stage_metrics_.submitted.with(meta.tenant).add();
-  stage_metrics_.shed.with(meta.tenant).add();
-  return false;
-}
-
-std::size_t ShardedServer::queue_depth() const {
-  std::size_t depth = 0;
-  for (const auto& queue : queues_) depth += queue->size();
-  return depth;
-}
-
-void ShardedServer::drain() {
-  while (completed_.load(std::memory_order_acquire) < admitted_.load(std::memory_order_acquire))
-    std::this_thread::sleep_for(kIdlePoll);
-}
-
-double ShardedServer::mean_service_seconds() const {
-  const std::uint64_t completed = completed_.load(std::memory_order_relaxed);
-  if (completed == 0) return 0.0;
-  return static_cast<double>(service_ns_.load(std::memory_order_relaxed)) * 1e-9 /
-         static_cast<double>(completed);
-}
-
-EmbedCache* ShardedServer::embed_cache_ptr(part_t rank) const {
-  util::MutexLock lock(embed_mutex_);
-  return embed_caches_[static_cast<std::size_t>(rank)].get();
+  InferRequest request = life_.make_request(vertex, meta, std::move(done));  // range-checks
+  return life_.admit(owner_[static_cast<std::size_t>(vertex)], std::move(request));
 }
 
 BackendStats ShardedServer::stats() const {
+  // Batch and halo counters per rank; tenant lanes, rejections and latency
+  // are accounted at the server edge, where requests enter and leave.
   BackendStats s;
-  for (part_t p = 0; p < num_parts_; ++p) {
-    BackendStats child;
-    {
-      const RankState& state = *rank_states_[static_cast<std::size_t>(p)];
-      util::MutexLock lock(state.mutex);
-      child = state.stats;
-    }
-    child.children.clear();
-    child.queue_depth = queues_[static_cast<std::size_t>(p)]->size();
-    child.feature_cache = caches_[static_cast<std::size_t>(p)]->stats(/*space=*/0);
-    child.halo_cache = caches_[static_cast<std::size_t>(p)]->stats(/*space=*/1);
-    if (const EmbedCache* cache = embed_cache_ptr(p)) child.embed_cache = cache->combined_stats();
-    s.absorb(std::move(child));
-  }
-  s.rejected = rejected_.load(std::memory_order_relaxed);  // counted at submit, not per rank
-  s.publishes = holder_.num_publishes();
-  // Tenant lanes are accounted at the server edge, not per rank; they (and
-  // the latency fold) come straight out of the sharded metrics.
-  s.tenants.clear();
-  stage_metrics_.submitted.for_each(
-      [&](int id, const obs::Counter& c) { s.tenant_lane(id).submitted = c.value(); });
-  stage_metrics_.completed.for_each(
-      [&](int id, const obs::Counter& c) { s.tenant_lane(id).completed = c.value(); });
-  stage_metrics_.shed.for_each(
-      [&](int id, const obs::Counter& c) { s.tenant_lane(id).shed = c.value(); });
-  s.latency = obs::HistogramData{};
-  stage_metrics_.request_seconds.for_each(
-      [&](int, const obs::Histogram& h) { s.latency += h.snapshot(); });
+  for (part_t p = 0; p < num_parts_; ++p) s.absorb(life_.lane_stats(p));
+  life_.add_edge_stats(s);
   return s;
-}
-
-void ShardedServer::scrape(obs::MetricsSnapshot& out) const { metrics_.scrape(out); }
-
-void ShardedServer::collect_traces(std::vector<obs::Trace>& out) const {
-  trace_sink_.collect(out);
-}
-
-void ShardedServer::finish_requests(std::vector<InferRequest>& batch, const DenseMatrix& logits,
-                                    std::uint64_t snapshot_version,
-                                    ServeClock::time_point service_begin, RankState& state,
-                                    const obs::BatchStageTimes& stages) {
-  const auto now = ServeClock::now();
-  auto reply_begin = now;  // each request's reply window starts where the previous ended
-  for (std::size_t r = 0; r < batch.size(); ++r) {
-    InferRequest& request = batch[r];
-    InferResult result;
-    result.request_id = request.id;
-    result.vertex = request.vertex;
-    result.logits.assign(logits.row(r), logits.row(r) + logits.cols());
-    result.latency_seconds = std::chrono::duration<double>(now - request.enqueue).count();
-    result.snapshot_version = snapshot_version;
-    result.tenant = request.tenant;
-
-    // Batch-level stage windows stamped per request (see InferenceServer::
-    // finish_batch): queue ended when the rank popped the batch.
-    stage_metrics_.observe_stage(
-        obs::Stage::kQueue, request.tenant,
-        std::chrono::duration<double>(service_begin - request.enqueue).count());
-    if (stages.sample.valid())
-      stage_metrics_.observe_stage(obs::Stage::kSample, request.tenant,
-                                   stages.sample.duration_seconds());
-    if (stages.halo_wait.valid())
-      stage_metrics_.observe_stage(obs::Stage::kHaloWait, request.tenant,
-                                   stages.halo_wait.duration_seconds());
-    if (stages.embed_lookup.valid())
-      stage_metrics_.observe_stage(obs::Stage::kEmbedLookup, request.tenant,
-                                   stages.embed_lookup.duration_seconds());
-    if (stages.forward.valid())
-      stage_metrics_.observe_stage(obs::Stage::kForward, request.tenant,
-                                   stages.forward.duration_seconds());
-    if (request.trace) {
-      obs::TraceContext& trace = *request.trace;
-      trace.end_stage(obs::Stage::kQueue, service_begin);
-      if (stages.sample.valid()) trace.set_stage(obs::Stage::kSample, stages.sample);
-      if (stages.halo_wait.valid()) trace.set_stage(obs::Stage::kHaloWait, stages.halo_wait);
-      if (stages.embed_lookup.valid())
-        trace.set_stage(obs::Stage::kEmbedLookup, stages.embed_lookup);
-      if (stages.forward.valid()) trace.set_stage(obs::Stage::kForward, stages.forward);
-      // Trace reply span starts at batch finish so a later rider's wait on
-      // its predecessors' callbacks stays inside its spans (coverage); the
-      // histogram keeps the chained marginal window below.
-      trace.begin_stage(obs::Stage::kReply, now);
-    }
-
-    if (request.done) request.done(std::move(result));
-    const auto reply_end = ServeClock::now();
-    stage_metrics_.observe_stage(obs::Stage::kReply, request.tenant,
-                                 std::chrono::duration<double>(reply_end - reply_begin).count());
-    stage_metrics_.request_seconds.with(request.tenant)
-        .observe(std::chrono::duration<double>(reply_end - request.enqueue).count());
-    stage_metrics_.completed.with(request.tenant).add();
-    if (request.trace) {
-      request.trace->end_stage(obs::Stage::kReply, reply_end);
-      trace_sink_.publish(request.trace->finish(reply_end));
-    }
-    reply_begin = reply_end;
-  }
-
-  const auto service_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(ServeClock::now() - service_begin)
-          .count());
-  {
-    util::MutexLock lock(state.mutex);
-    state.stats.completed += batch.size();
-    state.stats.batches += 1;
-    state.stats.batched_requests += batch.size();
-    state.stats.max_batch_seen = std::max<std::uint64_t>(state.stats.max_batch_seen, batch.size());
-    state.stats.service_seconds += static_cast<double>(service_ns) * 1e-9;
-  }
-  service_ns_.fetch_add(service_ns, std::memory_order_relaxed);
-  // completed_ is the drain()/publish-barrier signal: it must go last, after
-  // every callback has run.
-  completed_.fetch_add(batch.size(), std::memory_order_release);
 }
 
 void ShardedServer::apply_graph_update(const std::function<void()>& apply,
@@ -357,23 +124,7 @@ void ShardedServer::apply_graph_update(const std::function<void()>& apply,
     std::copy(src, src + f, local_feats_[static_cast<std::size_t>(p)].row(it->second));
   }
 
-  // Invalidate per-rank caches: feature rows by id in both spaces (0 = local/
-  // embed rows, 1 = halo rows — a stale halo copy is as wrong as a stale
-  // local one), then the layer-output caches via targeted epoch advance.
-  for (part_t p = 0; p < num_parts_; ++p) {
-    ShardedFeatureCache& cache = *caches_[static_cast<std::size_t>(p)];
-    for (const vid_t v : notice.features) {
-      cache.erase(/*space=*/0, static_cast<std::uint64_t>(v));
-      cache.erase(/*space=*/1, static_cast<std::uint64_t>(v));
-    }
-    if (EmbedCache* embed = embed_cache_ptr(p)) {
-      if (notice.full_flush)
-        embed->invalidate();
-      else
-        embed->advance_epoch(notice.epoch, notice.dirty_layers);
-    }
-  }
-  graph_epoch_.store(notice.epoch, std::memory_order_release);
+  life_.apply_notice(notice);  // per-rank caches, then the new epoch
 
   if (live) {
     pause_flag_.store(false, std::memory_order_release);
@@ -382,40 +133,42 @@ void ShardedServer::apply_graph_update(const std::function<void()>& apply,
   }
 }
 
+void ShardedServer::park_for_update(HaloFetcher* fetcher) {
+  util::MutexLock lock(pause_mutex_);
+  ++paused_ranks_;
+  pause_cv_.notify_all();
+  while (pause_flag_.load(std::memory_order_acquire)) {
+    lock.unlock();
+    if (fetcher) fetcher->service_peers();
+    std::this_thread::sleep_for(kIdlePoll);
+    lock.lock();
+  }
+  --paused_ranks_;
+  pause_cv_.notify_all();
+}
+
+void ShardedServer::leave_together(HaloFetcher* fetcher) {
+  done_ranks_.fetch_add(1, std::memory_order_acq_rel);
+  while (done_ranks_.load(std::memory_order_acquire) < num_parts_) {
+    if (fetcher) fetcher->service_peers();
+    std::this_thread::sleep_for(kIdlePoll);
+  }
+}
+
 void ShardedServer::rank_loop(Communicator& comm) {
   const part_t me = static_cast<part_t>(comm.rank());
   if (config_.embed_forward)
-    run_embed_rank(comm, me);
+    run_embed_rank(me);
   else
     run_classic_rank(comm, me);
 }
 
 void ShardedServer::run_classic_rank(Communicator& comm, part_t me) {
-  BoundedRequestQueue& queue = *queues_[static_cast<std::size_t>(me)];
-  ShardedFeatureCache& cache = *caches_[static_cast<std::size_t>(me)];
-  RankState& state = *rank_states_[static_cast<std::size_t>(me)];
+  BoundedRequestQueue& queue = life_.queue(me);
   HaloFetcher fetcher(comm, owner_, local_feats_[static_cast<std::size_t>(me)],
-                      local_index_[static_cast<std::size_t>(me)], cache);
+                      local_index_[static_cast<std::size_t>(me)], life_.feature_cache(me));
   ForwardScratch scratch;
   DenseMatrix logits;
-
-  // Halo-counter baseline: the fetcher is fresh per start(), but rank stats
-  // accumulate across restarts.
-  std::uint64_t base_rows, base_bytes;
-  double base_wait;
-  {
-    util::MutexLock lock(state.mutex);
-    base_rows = state.stats.halo_rows_fetched;
-    base_bytes = state.stats.halo_bytes;
-    base_wait = state.stats.halo_wait_seconds;
-  }
-  const auto flush_halo = [&] {
-    const HaloFetchStats& fs = fetcher.stats();
-    util::MutexLock lock(state.mutex);
-    state.stats.halo_rows_fetched = base_rows + fs.halo_rows_fetched;
-    state.stats.halo_bytes = base_bytes + fs.halo_bytes;
-    state.stats.halo_wait_seconds = base_wait + fs.wait_seconds;
-  };
 
   // Ring of in-flight halo batches. A slot holds everything a batch needs
   // between begin_fetch and its forward; slots recycle so steady state never
@@ -438,48 +191,16 @@ void ShardedServer::run_classic_rank(Communicator& comm, part_t me) {
     if (free_slots.empty()) return false;
     std::vector<InferRequest> batch = queue.try_pop_batch(config_.max_batch);
     if (batch.empty()) return false;
-    // Re-read the CSR per batch: a graph delta swaps dataset_.graph while
-    // every rank is parked (ring drained), so a reference captured once at
-    // loop entry would dangle after the first apply.
-    const CsrMatrix& in_csr = dataset_.graph.in_csr();
     Slot* slot = free_slots.back();
     free_slots.pop_back();
     slot->requests = std::move(batch);
-    slot->snapshot = holder_.get();
+    slot->snapshot = life_.snapshot();
     slot->service_begin = ServeClock::now();
-    slot->halo.minibatches.clear();
-    // RGCN blocks need relation labels per sampled edge; the typed sampler
-    // draws the identical RNG stream, so SAGE/GAT answers are unaffected.
-    const std::vector<int>* edge_types =
-        slot->snapshot->spec().kind == ModelKind::kRgcn ? &dataset_.edge_types : nullptr;
-    for (const InferRequest& request : slot->requests) {
-      Rng rng = request_rng(config_.sample_seed, request.vertex);
-      const vid_t seed[1] = {request.vertex};
-      slot->halo.minibatches.push_back(
-          sample_minibatch(in_csr, seed, config_.fanouts, rng, edge_types));
-    }
+    life_.sample(slot->requests, *slot->snapshot, slot->halo.minibatches);
     slot->sample_end = ServeClock::now();
     fetcher.begin_fetch(slot->halo);
     in_flight.push_back(slot);
     return true;
-  };
-
-  // Graph-update rendezvous: once the ring is drained, count into the pause
-  // and wait it out while still answering peers' halo requests — another
-  // rank may be draining batches that need our rows. With every rank parked
-  // no halo message is in flight, so the updater can mutate local_feats_.
-  const auto park_for_update = [&] {
-    util::MutexLock lock(pause_mutex_);
-    ++paused_ranks_;
-    pause_cv_.notify_all();
-    while (pause_flag_.load(std::memory_order_acquire)) {
-      lock.unlock();
-      fetcher.service_peers();
-      std::this_thread::sleep_for(kIdlePoll);
-      lock.lock();
-    }
-    --paused_ranks_;
-    pause_cv_.notify_all();
   };
 
   while (true) {
@@ -488,12 +209,13 @@ void ShardedServer::run_classic_rank(Communicator& comm, part_t me) {
     // Keep the ring full: batches N+1..N+depth-1 have their halo requests
     // riding the wire (and the peers' service loops) while batch N's
     // forward runs below. A pending pause stops admission so the ring
-    // drains to the rendezvous at a batch boundary.
+    // drains to the rendezvous at a batch boundary, where no halo message
+    // is in flight and the updater can mutate local_feats_.
     while (!pausing && static_cast<int>(in_flight.size()) < depth && admit_next()) {
     }
     if (in_flight.empty()) {
       if (pausing) {
-        park_for_update();
+        park_for_update(&fetcher);
         continue;
       }
       // Exit only once the queue is closed AND drained: a stop flag alone
@@ -517,52 +239,24 @@ void ShardedServer::run_classic_rank(Communicator& comm, part_t me) {
     stages.sample = obs::make_span(slot->service_begin, slot->sample_end);
     stages.halo_wait = obs::make_span(slot->sample_end, halo_end);
     stages.forward = obs::make_span(halo_end, forward_end);
-    finish_requests(slot->requests, logits, slot->snapshot->version(), slot->service_begin,
-                    state, stages);
-    flush_halo();
+    const HaloFetchStats halo = fetcher.take_stats();
+    life_.finish(me, slot->requests, logits, slot->snapshot->version(), slot->service_begin,
+                 stages, &halo);
     slot->snapshot.reset();
     free_slots.push_back(slot);
   }
-
-  // A peer may still be waiting on our halo replies: keep servicing until
-  // every rank has drained its own queue, then leave together.
-  done_ranks_.fetch_add(1, std::memory_order_acq_rel);
-  while (done_ranks_.load(std::memory_order_acquire) < num_parts_) {
-    fetcher.service_peers();
-    std::this_thread::sleep_for(kIdlePoll);
-  }
-  flush_halo();
+  leave_together(&fetcher);
 }
 
-void ShardedServer::run_embed_rank(Communicator& comm, part_t me) {
-  (void)comm;  // embed mode exchanges no halo messages — layer-0 rows come
-               // through the shared in-process feature store via the rank's
-               // feature cache — so the loop is a plain poll over the queue.
-  BoundedRequestQueue& queue = *queues_[static_cast<std::size_t>(me)];
-  RankState& state = *rank_states_[static_cast<std::size_t>(me)];
-  EmbedForward evaluator(dataset_, config_.fanouts, config_.sample_seed, embed_cache_ptr(me),
-                         caches_[static_cast<std::size_t>(me)].get());
-  std::vector<vid_t> seeds;
-  DenseMatrix logits;
-
-  // Embed ranks exchange no halo traffic, so the graph-update park is a
-  // plain sleep (no peers to service while waiting).
-  const auto park_for_update = [&] {
-    util::MutexLock lock(pause_mutex_);
-    ++paused_ranks_;
-    pause_cv_.notify_all();
-    while (pause_flag_.load(std::memory_order_acquire)) {
-      lock.unlock();
-      std::this_thread::sleep_for(kIdlePoll);
-      lock.lock();
-    }
-    --paused_ranks_;
-    pause_cv_.notify_all();
-  };
-
+void ShardedServer::run_embed_rank(part_t me) {
+  // Embed mode exchanges no halo messages — layer-0 rows come through the
+  // shared in-process feature store via the rank's feature cache — so the
+  // loop is a plain poll over the queue.
+  BoundedRequestQueue& queue = life_.queue(me);
+  RequestLifecycle::EmbedWorker worker = life_.embed_worker(me);
   while (true) {
     if (pause_flag_.load(std::memory_order_acquire)) {
-      park_for_update();
+      park_for_update(nullptr);
       continue;
     }
     std::vector<InferRequest> batch = queue.try_pop_batch(config_.max_batch);
@@ -571,19 +265,9 @@ void ShardedServer::run_embed_rank(Communicator& comm, part_t me) {
       std::this_thread::sleep_for(kIdlePoll);
       continue;
     }
-    const auto service_begin = ServeClock::now();
-    const std::shared_ptr<const ModelSnapshot> snapshot = holder_.get();
-    seeds.clear();
-    for (const InferRequest& request : batch) seeds.push_back(request.vertex);
-    evaluator.infer(*snapshot, seeds, logits, graph_epoch_.load(std::memory_order_acquire));
-    obs::BatchStageTimes stages;
-    stages.embed_lookup = obs::make_span(service_begin, ServeClock::now());
-    finish_requests(batch, logits, snapshot->version(), service_begin, state, stages);
+    life_.serve_embed(me, batch, worker);
   }
-
-  done_ranks_.fetch_add(1, std::memory_order_acq_rel);
-  while (done_ranks_.load(std::memory_order_acquire) < num_parts_)
-    std::this_thread::sleep_for(kIdlePoll);
+  leave_together(nullptr);
 }
 
 }  // namespace distgnn::serve

@@ -36,36 +36,25 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
-#include <deque>
 #include <memory>
-#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "comm/world.hpp"
 #include "graph/datasets.hpp"
-#include "obs/metrics.hpp"
-#include "obs/scrape.hpp"
-#include "obs/trace.hpp"
 #include "partition/libra.hpp"
 #include "serve/backend.hpp"
-#include "serve/embed_cache.hpp"
-#include "serve/feature_cache.hpp"
-#include "serve/model_snapshot.hpp"
-#include "serve/request_queue.hpp"
+#include "serve/request_lifecycle.hpp"
 #include "serve/tier_config.hpp"
 #include "util/sync.hpp"
 
 namespace distgnn::serve {
 
 class HaloFetcher;
-struct HaloBatch;
 
 /// Sharded-tier config: the shared TierConfig knobs (queue_capacity and the
-/// caches apply per rank) plus the halo prefetch ring depth. Field names are
-/// unchanged from the pre-TierConfig struct.
+/// caches apply per rank) plus the halo prefetch ring depth.
 struct ShardedServeConfig : TierConfig {
   /// In-flight halo batches per rank: 1 = synchronous fetch, 2 = the classic
   /// double buffer, d = a ring pipelining d-1 batches of fetch latency
@@ -88,8 +77,10 @@ class ShardedServer : public ServingBackend {
   ShardedServer(const ShardedServer&) = delete;
   ShardedServer& operator=(const ShardedServer&) = delete;
 
-  void publish(std::shared_ptr<const ModelSnapshot> snapshot) override;
-  std::shared_ptr<const ModelSnapshot> snapshot() const override { return holder_.get(); }
+  void publish(std::shared_ptr<const ModelSnapshot> snapshot) override {
+    life_.publish(std::move(snapshot));
+  }
+  std::shared_ptr<const ModelSnapshot> snapshot() const override { return life_.snapshot(); }
 
   /// Spawns the rank loops (one thread per partition part). Requires a
   /// published snapshot.
@@ -104,10 +95,10 @@ class ShardedServer : public ServingBackend {
   bool submit(vid_t vertex, const RequestMeta& meta,
               std::function<void(InferResult&&)> done) override;
 
-  std::size_t queue_depth() const override;
-  void drain() override;
+  std::size_t queue_depth() const override { return life_.queue_depth(); }
+  void drain() override { life_.drain(); }
   bool accepting() const override { return running_.load(std::memory_order_acquire); }
-  double mean_service_seconds() const override;
+  double mean_service_seconds() const override { return life_.mean_service_seconds(); }
   /// One serving loop per rank.
   int concurrency() const override { return num_parts_; }
   const Dataset& dataset() const override { return dataset_; }
@@ -116,10 +107,10 @@ class ShardedServer : public ServingBackend {
   BackendStats stats() const override;
   /// ScrapeSource: fold the shard's stage histograms (including halo_wait)
   /// and tenant counters into `out`.
-  void scrape(obs::MetricsSnapshot& out) const override;
+  void scrape(obs::MetricsSnapshot& out) const override { life_.scrape(out); }
   /// Completed sampled stage traces across all ranks (one shared sink).
-  void collect_traces(std::vector<obs::Trace>& out) const override;
-  const obs::TraceSink& trace_sink() const { return trace_sink_; }
+  void collect_traces(std::vector<obs::Trace>& out) const override { life_.collect_traces(out); }
+  const obs::TraceSink& trace_sink() const { return life_.trace_sink(); }
 
   /// Version-barriered graph mutation across the P ranks: a pause rendezvous
   /// parks every rank at a batch boundary (prefetch ring drained, classic
@@ -131,55 +122,35 @@ class ShardedServer : public ServingBackend {
   /// window are served after it, on the new graph.
   void apply_graph_update(const std::function<void()>& apply,
                           const GraphUpdateNotice& notice) override;
-  std::uint64_t graph_epoch() const override {
-    return graph_epoch_.load(std::memory_order_acquire);
-  }
+  std::uint64_t graph_epoch() const override { return life_.graph_epoch(); }
 
   int num_ranks() const { return num_parts_; }
   /// Vertex -> owning rank (the routing table).
   const std::vector<part_t>& owners() const { return owner_; }
 
  private:
-  struct RankState {
-    mutable util::Mutex mutex;
-    BackendStats stats GUARDED_BY(mutex);  // batch/halo counters only; caches read live
-  };
-
   void rank_loop(Communicator& comm);
   void run_classic_rank(Communicator& comm, part_t me);
-  void run_embed_rank(Communicator& comm, part_t me);
-  void finish_requests(std::vector<InferRequest>& batch, const DenseMatrix& logits,
-                       std::uint64_t snapshot_version, ServeClock::time_point service_begin,
-                       RankState& state, const obs::BatchStageTimes& stages);
-  EmbedCache* embed_cache_ptr(part_t rank) const;
+  void run_embed_rank(part_t me);
+  /// Graph-update rendezvous: counts the rank into the pause and waits it
+  /// out. `fetcher` (classic ranks) keeps answering peers' halo requests
+  /// meanwhile — another rank may still be draining batches that need them.
+  void park_for_update(HaloFetcher* fetcher);
+  /// Exit rendezvous: a peer may still wait on our halo replies, so a rank
+  /// keeps servicing (through `fetcher`, if any) until every rank is done.
+  void leave_together(HaloFetcher* fetcher);
 
   const Dataset& dataset_;
-  /// Immutable mirror of dataset_.num_vertices(): the streamed-update
-  /// contract fixes the vertex set at construction, and submit() must not
-  /// read through dataset_.graph while a barrier is move-assigning it.
-  const vid_t num_vertices_;
   ShardedServeConfig config_;
   part_t num_parts_;
+  /// Admission, reply and stats: one lane per rank.
+  RequestLifecycle life_;
   std::vector<part_t> owner_;
   std::vector<std::unordered_map<vid_t, std::size_t>> local_index_;
   std::vector<DenseMatrix> local_feats_;
 
   World world_;
   std::thread driver_;  // runs world_.run(rank_loop) so start() returns
-  std::vector<std::unique_ptr<BoundedRequestQueue>> queues_;
-  std::vector<std::unique_ptr<ShardedFeatureCache>> caches_;
-  mutable util::Mutex embed_mutex_;
-  std::vector<std::unique_ptr<EmbedCache>> embed_caches_ GUARDED_BY(embed_mutex_);
-  std::vector<std::unique_ptr<RankState>> rank_states_;
-  SnapshotHolder holder_;
-
-  // Server-level telemetry (ranks are an implementation detail of the shard,
-  // so tenants are accounted where requests enter and leave): sharded
-  // wait-free counters + stage/latency histograms, one trace sink shared by
-  // every rank thread.
-  obs::MetricsRegistry metrics_;
-  obs::StageMetrics stage_metrics_{metrics_, "sharded"};
-  obs::TraceSink trace_sink_;
 
   std::atomic<bool> running_{false};
   std::atomic<int> done_ranks_{0};
@@ -190,13 +161,6 @@ class ShardedServer : public ServingBackend {
   util::Mutex pause_mutex_;
   util::CondVar pause_cv_;
   int paused_ranks_ GUARDED_BY(pause_mutex_) = 0;
-  std::atomic<std::uint64_t> graph_epoch_{0};
-
-  std::atomic<std::uint64_t> next_id_{0};
-  std::atomic<std::uint64_t> admitted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> service_ns_{0};
 };
 
 /// Vertex -> owning rank from a vertex-cut partition: the rank whose clone

@@ -6,9 +6,7 @@
 // consolidation: every tier-shaped config derives from it, so a ModelRegistry
 // entry configures one knob set regardless of which backend serves it, and a
 // composed tier can slice a ServeConfig down to its shard knobs by copying
-// the base. Field names are unchanged from the pre-consolidation structs —
-// the old spellings ARE the aliases, kept for one release (existing
-// field-by-field initialization code compiles untouched).
+// the base.
 #pragma once
 
 #include <chrono>

@@ -249,7 +249,7 @@ LoadReport TrafficGenerator::finish(const std::string& label, double duration,
 LoadReport TrafficGenerator::run_closed_loop(int num_clients, int requests_each) {
   if (num_clients < 1 || requests_each < 1)
     throw std::invalid_argument("run_closed_loop: clients and requests must be >= 1");
-  const ServerStats before = server_.stats();
+  const BackendStats before = server_.stats();
 
   // Hand each client its own pre-drawn vertex list so the workload is
   // deterministic regardless of thread interleaving.
@@ -280,7 +280,7 @@ LoadReport TrafficGenerator::run_closed_loop(int num_clients, int requests_each)
   LatencyRecorder latencies;
   for (const LatencyRecorder& r : per_client) latencies += r;
 
-  const ServerStats after = server_.stats();
+  const BackendStats after = server_.stats();
   const auto total = static_cast<std::uint64_t>(num_clients) *
                      static_cast<std::uint64_t>(requests_each);
   return finish("closed(" + std::to_string(num_clients) + ")", duration, total, total, 0,
@@ -295,7 +295,7 @@ LoadReport TrafficGenerator::run_open_loop(const ArrivalConfig& arrivals,
   targets.reserve(num_requests);
   for (std::size_t i = 0; i < num_requests; ++i) targets.push_back(random_vertex());
 
-  const ServerStats before = server_.stats();
+  const BackendStats before = server_.stats();
   LatencyRecorder latencies;
   util::Mutex done_mutex;
   util::CondVar done_cv;
@@ -323,7 +323,7 @@ LoadReport TrafficGenerator::run_open_loop(const ArrivalConfig& arrivals,
   }
   const double duration = std::chrono::duration<double>(ServeClock::now() - begin).count();
 
-  const ServerStats after = server_.stats();
+  const BackendStats after = server_.stats();
   const std::string label =
       arrivals.process == ArrivalProcess::kPoisson ? "poisson" : "mmpp";
   return finish(label, duration, num_requests, num_requests - rejected, rejected, latencies,

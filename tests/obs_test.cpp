@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/datasets.hpp"
@@ -18,6 +19,7 @@
 #include "serve/model_registry.hpp"
 #include "serve/model_snapshot.hpp"
 #include "serve/replica_group.hpp"
+#include "serve/sharded_server.hpp"
 #include "serve/traffic_gen.hpp"
 
 namespace distgnn {
@@ -143,10 +145,12 @@ TEST(ObsTrace, SinkRingBoundedAndTopK) {
       EXPECT_FALSE(all[i].request_id == all[j].request_id);
 }
 
-// Drives a real server at 100% sampling and checks every collected trace:
-// stages are ordered, nested inside [begin, end], and the spans cover >= 90%
-// of the measured end-to-end latency (the "stamped where the work happens"
-// acceptance bar — a reconstructed-at-the-edge trace could not pass it).
+// Drives real servers at 100% sampling — one InferenceServer and one
+// ShardedServer over two ranks — and checks every collected trace: stages
+// are ordered admit -> queue -> sample -> [halo_wait] -> forward -> reply,
+// nested inside [begin, end], and the spans cover >= 90% of the measured
+// end-to-end latency (the "stamped where the work happens" acceptance bar —
+// a reconstructed-at-the-edge trace could not pass it).
 TEST(ObsTrace, ServerTracesOrderedAndCoverLatency) {
   LearnableSbmParams params;
   params.num_vertices = 256;
@@ -167,37 +171,52 @@ TEST(ObsTrace, ServerTracesOrderedAndCoverLatency) {
   cfg.fanouts = {4, 4};
   cfg.trace_sample_rate = 1.0;
   InferenceServer server(dataset, cfg);
-  server.publish(ModelSnapshot::random(spec, /*seed=*/1, /*version=*/1));
-  server.start();
-  TrafficGenerator traffic(server, /*seed=*/3);
-  (void)traffic.run_closed_loop(/*num_clients=*/4, /*requests_each=*/25);
-  server.drain();
+  ShardedServeConfig sharded_cfg;
+  sharded_cfg.max_batch = 8;
+  sharded_cfg.fanouts = {4, 4};
+  sharded_cfg.trace_sample_rate = 1.0;
+  ShardedServer sharded(dataset, partition_libra(dataset.graph.coo(), /*num_parts=*/2),
+                        sharded_cfg);
 
-  std::vector<obs::Trace> traces;
-  server.collect_traces(traces);
-  ASSERT_FALSE(traces.empty());
-  constexpr double kEps = 1e-9;
-  for (const obs::Trace& t : traces) {
-    const obs::Span& admit = t.span(obs::Stage::kAdmit);
-    const obs::Span& queue = t.span(obs::Stage::kQueue);
-    const obs::Span& sample = t.span(obs::Stage::kSample);
-    const obs::Span& forward = t.span(obs::Stage::kForward);
-    const obs::Span& reply = t.span(obs::Stage::kReply);
-    ASSERT_TRUE(admit.valid() && queue.valid() && sample.valid() && forward.valid() &&
-                reply.valid());
-    // Ordered and contiguous by construction: admit ends where queue begins,
-    // queue ends at the worker pop where the batch sample window begins.
-    EXPECT_GE(admit.begin_seconds, t.begin_seconds - kEps);
-    EXPECT_GE(queue.begin_seconds, admit.end_seconds - kEps);
-    EXPECT_GE(sample.begin_seconds, queue.end_seconds - kEps);
-    EXPECT_GE(forward.begin_seconds, sample.end_seconds - kEps);
-    EXPECT_GE(reply.end_seconds, reply.begin_seconds - kEps);
-    EXPECT_LE(reply.end_seconds, t.end_seconds + kEps);
-    // The single-server classic path never waits on halos or embed lookups.
-    EXPECT_FALSE(t.span(obs::Stage::kHaloWait).valid());
-    EXPECT_FALSE(t.span(obs::Stage::kEmbedLookup).valid());
-    EXPECT_GE(t.coverage(), 0.9) << "request " << t.request_id;
+  // Only the sharded path waits on halo rows; neither runs embed lookups.
+  const std::pair<ServingBackend*, bool> backends[] = {{&server, false}, {&sharded, true}};
+  for (const auto& [backend, halo] : backends) {
+    SCOPED_TRACE(halo ? "ShardedServer" : "InferenceServer");
+    backend->publish(ModelSnapshot::random(spec, /*seed=*/1, /*version=*/1));
+    backend->start();
+    TrafficGenerator traffic(*backend, /*seed=*/3);
+    (void)traffic.run_closed_loop(/*num_clients=*/4, /*requests_each=*/25);
+    backend->drain();
+
+    std::vector<obs::Trace> traces;
+    backend->collect_traces(traces);
+    ASSERT_FALSE(traces.empty());
+    constexpr double kEps = 1e-9;
+    for (const obs::Trace& t : traces) {
+      std::vector<obs::Stage> order = {obs::Stage::kAdmit, obs::Stage::kQueue,
+                                       obs::Stage::kSample};
+      if (halo) order.push_back(obs::Stage::kHaloWait);
+      order.push_back(obs::Stage::kForward);
+      order.push_back(obs::Stage::kReply);
+      // Ordered and contiguous by construction: admit ends where queue
+      // begins, queue ends at the pop where the batch sample window begins,
+      // and each batch window starts where the previous one ended.
+      EXPECT_GE(t.span(obs::Stage::kAdmit).begin_seconds, t.begin_seconds - kEps);
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        const obs::Span& span = t.span(order[i]);
+        ASSERT_TRUE(span.valid()) << obs::stage_name(order[i]);
+        EXPECT_GE(span.end_seconds, span.begin_seconds - kEps) << obs::stage_name(order[i]);
+        if (i > 0)
+          EXPECT_GE(span.begin_seconds, t.span(order[i - 1]).end_seconds - kEps)
+              << obs::stage_name(order[i]);
+      }
+      EXPECT_LE(t.span(obs::Stage::kReply).end_seconds, t.end_seconds + kEps);
+      EXPECT_EQ(t.span(obs::Stage::kHaloWait).valid(), halo);
+      EXPECT_FALSE(t.span(obs::Stage::kEmbedLookup).valid());
+      EXPECT_GE(t.coverage(), 0.9) << "request " << t.request_id;
+    }
   }
+  sharded.stop();
 
   // Sub-sampling: a 30% rate traces roughly (deterministically, not exactly)
   // 30% of requests, and never more than all of them.

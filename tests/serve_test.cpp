@@ -601,6 +601,39 @@ TEST(ShardedServing, OwnerMapCoversEveryVertexExactlyOnce) {
   }
 }
 
+// drain() is a completion barrier: once it returns, every callback's plain
+// writes are visible to the caller without any other synchronization. The
+// ints below are deliberately not atomic — a completion counter bumped with
+// relaxed order lets ThreadSanitizer report the read as a race.
+TEST(ServingDrain, CallbackWritesAreVisibleAfterDrain) {
+  const Dataset dataset = make_serving_dataset();
+  const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/77, /*version=*/3);
+  ServeConfig cfg;
+  cfg.num_workers = 2;
+  cfg.max_batch = 4;
+  cfg.fanouts = {4, 4};
+  InferenceServer single(dataset, cfg);
+  const EdgePartition partition = partition_libra(dataset.graph.coo(), /*num_parts=*/2);
+  ShardedServeConfig sharded_cfg;
+  sharded_cfg.max_batch = 4;
+  sharded_cfg.fanouts = {4, 4};
+  ShardedServer sharded(dataset, partition, sharded_cfg);
+
+  for (ServingBackend* backend : {static_cast<ServingBackend*>(&single),
+                                  static_cast<ServingBackend*>(&sharded)}) {
+    backend->publish(snapshot);
+    backend->start();
+    constexpr int kRequests = 64;
+    std::vector<int> written(kRequests, 0);
+    for (int i = 0; i < kRequests; ++i)
+      ASSERT_TRUE(backend->submit(static_cast<vid_t>(i * 7 % dataset.num_vertices()),
+                                  [&written, i](InferResult&&) { written[i] = i + 1; }));
+    backend->drain();
+    for (int i = 0; i < kRequests; ++i) EXPECT_EQ(written[i], i + 1) << "request " << i;
+    backend->stop();
+  }
+}
+
 // ------------------------------------------------------------- traffic gen
 
 TEST(TrafficGen, PoissonArrivalsAreAscendingAndDeterministic) {

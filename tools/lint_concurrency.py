@@ -68,11 +68,10 @@ RELAXED_ORDER_ALLOWLIST = {
     "src/obs/metrics.cpp",
     "src/obs/metrics.hpp",
     "src/obs/trace.cpp",
-    "src/serve/inference_server.cpp",
     "src/serve/model_registry.cpp",
     "src/serve/replica_group.cpp",
+    "src/serve/request_lifecycle.cpp",
     "src/serve/router.cpp",
-    "src/serve/sharded_server.cpp",
     "src/util/log.cpp",
     # Test-side monotonic tallies (hit/served counters folded after join).
     "tests/embed_cache_test.cpp",
