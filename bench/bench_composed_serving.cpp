@@ -1,5 +1,5 @@
-// Composed-tier benchmarks: R ShardedServer replicas x P shards behind the
-// Router, swept over (R, P) in {1,2} x {1,2} under open-loop 2-state MMPP
+// Composed-tier benchmarks: a ReplicaGroup of R ShardedServer replicas x P
+// shards, swept over (R, P) in {1,2} x {1,2} under open-loop 2-state MMPP
 // load. QPS / p99 / p99.9 / shed-rate land in the CI JSON artifact next to
 // the single-server and flat-replicated trajectories, so the serving story
 // covers the full grid; the headline is QPS increasing with R at fixed P.
@@ -27,7 +27,7 @@
 #include "bench_serving_common.hpp"
 #include "graph/datasets.hpp"
 #include "partition/libra.hpp"
-#include "serve/composed_tier.hpp"
+#include "serve/replica_group.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_snapshot.hpp"
 
@@ -95,14 +95,14 @@ struct ComposedFixture {
 };
 
 /// One measured run of an R x P grid: bitwise probe first, then MMPP
-/// open-loop through the tier's Router with per-request deadlines.
+/// open-loop through the tier with per-request deadlines.
 void run_composed(benchmark::State& state, int replicas, int shards) {
   ComposedFixture& f = ComposedFixture::get();
   const EdgePartition partition =
       partition_libra(f.dataset.graph.coo(), static_cast<part_t>(shards));
 
   LoadReport last;
-  RouterStats last_stats;
+  AdmissionStats last_stats;
   obs::MetricsSnapshot scrape;
   bool match = true;
   for (auto _ : state) {
@@ -112,8 +112,7 @@ void run_composed(benchmark::State& state, int replicas, int shards) {
     cfg.shard.fanouts = {10, 10};
     cfg.shard.queue_capacity = 512;
     cfg.shard.prefetch_depth = 2;
-    cfg.policy = RoutePolicy::kPowerOfTwo;
-    ComposedTier tier(f.dataset, partition, cfg);
+    ReplicaGroup tier(f.dataset, partition, cfg, RoutePolicy::kPowerOfTwo);
     tier.publish(f.snapshot);
     tier.start();
 
@@ -122,7 +121,7 @@ void run_composed(benchmark::State& state, int replicas, int shards) {
     const auto probed = tier.infer_batch(f.probe);
     for (std::size_t i = 0; i < f.probe.size(); ++i)
       match = match && probed[i].has_value() && probed[i]->logits == f.expected[i];
-    const RouterStats warmed = tier.router().stats();
+    const AdmissionStats warmed = tier.admission_stats();
 
     // Self-calibrated MMPP overload (the Admission.SheddingLowersAdmittedTail
     // recipe): one replica's capacity is P serving ranks over the reference
@@ -132,26 +131,25 @@ void run_composed(benchmark::State& state, int replicas, int shards) {
     const double svc = f.svc;
     const double capacity = static_cast<double>(shards) / svc;
 
-    RouterLoadConfig load;
-    load.arrivals.process = ArrivalProcess::kMmpp;
+    ArrivalConfig arrivals;
+    arrivals.process = ArrivalProcess::kMmpp;
     if (g_rate > 0) {
-      load.arrivals.rate = g_rate;
-      load.arrivals.mmpp_rate0 = g_rate / 4;
-      load.arrivals.mmpp_rate1 = g_rate * 4;
+      arrivals.rate = g_rate;
+      arrivals.mmpp_rate0 = g_rate / 4;
+      arrivals.mmpp_rate1 = g_rate * 4;
     } else {
       // Burst at 3x one replica: R=1 sheds through every burst while R=2
       // has the headroom to absorb it — the regime where replication pays.
-      load.arrivals.mmpp_rate0 = 0.5 * capacity;
-      load.arrivals.mmpp_rate1 = 3.0 * capacity;
-      load.arrivals.mmpp_hold0 = 0.005;
-      load.arrivals.mmpp_hold1 = 0.004;
+      arrivals.mmpp_rate0 = 0.5 * capacity;
+      arrivals.mmpp_rate1 = 3.0 * capacity;
+      arrivals.mmpp_hold0 = 0.005;
+      arrivals.mmpp_hold1 = 0.004;
     }
-    load.arrivals.seed = g_seed;
-    load.num_requests = g_requests;
-    load.deadline_seconds = g_deadline_ms > 0 ? g_deadline_ms * 1e-3 : 40 * svc;
-    load.seed = g_seed;
-    last = run_router_open_loop(tier.router(), load);
-    last_stats = tier.router().stats().since(warmed);
+    arrivals.seed = g_seed;
+    const double deadline = g_deadline_ms > 0 ? g_deadline_ms * 1e-3 : 40 * svc;
+    last = run_deadline_open_loop(tier, arrivals, g_requests, deadline,
+                                  /*low_priority_fraction=*/0, g_seed);
+    last_stats = tier.admission_stats().since(warmed);
     scrape = obs::MetricsSnapshot{};
     tier.scrape(scrape);
     tier.stop();

@@ -9,7 +9,7 @@
 //     1.5x its solo baseline and A's shed rate is exactly 0: B's burst
 //     sheds from B's own lane, never A's.
 //   * BM_Multitenant_WeightedFair: two tenants with 2:1 SLO weights
-//     saturating one replica through the weighted-fair Router; served QPS
+//     saturating one tenant-mode replica group (weighted-fair lanes); served QPS
 //     converges to the weight share (fair_ratio ~ 2).
 //
 // Custom flags (strict — typos fail loudly):
@@ -29,7 +29,6 @@
 #include "serve/model_registry.hpp"
 #include "serve/model_snapshot.hpp"
 #include "serve/replica_group.hpp"
-#include "serve/router.hpp"
 
 namespace distgnn {
 namespace {
@@ -222,12 +221,8 @@ void BM_Multitenant_WeightedFair(benchmark::State& state) {
   MultitenantFixture& f = MultitenantFixture::get();
   const double capacity = 1.0 / f.svc;
   LoadReport heavy, light;
-  RouterStats rstats;
+  AdmissionStats rstats;
   for (auto _ : state) {
-    ReplicaGroup group(f.homo, f.serve_config(), /*num_replicas=*/1);
-    group.publish(f.sage);
-    group.start();
-
     AdmissionConfig admission;
     admission.shed_deadlines = false;  // fairness only — nothing sheds
     admission.low_priority_depth = 0;
@@ -239,7 +234,10 @@ void BM_Multitenant_WeightedFair(benchmark::State& state) {
     w1.weight = 1.0;
     admission.tenants = {w2, w1};
     admission.dispatch_window = 4;  // small window => staging (and WRR) rule
-    Router router(group, RoutePolicy::kRoundRobin, admission);
+    ReplicaGroup group(f.homo, f.serve_config(), /*num_replicas=*/1, RoutePolicy::kRoundRobin,
+                       admission);
+    group.publish(f.sage);
+    group.start();
 
     // Both tenants offer ~3x capacity, so while both lanes are backlogged
     // the dispatch shares follow the 2:1 weights. fair_ratio is the
@@ -247,24 +245,24 @@ void BM_Multitenant_WeightedFair(benchmark::State& state) {
     // light lane is still saturated at that instant, so the ratio reads the
     // weighted shares directly (whole-run QPS would be diluted by the
     // light tenant's post-contention drain at full capacity).
-    const auto make_load = [&](tenant_t tenant, std::uint64_t seed) {
-      RouterLoadConfig load;
-      load.arrivals.process = ArrivalProcess::kPoisson;
-      load.arrivals.rate = 3.0 * capacity;
-      load.arrivals.seed = seed;
-      load.num_requests = g_requests;
-      load.seed = seed;
-      load.tenant = tenant;
-      return load;
+    const auto run_stream = [&](tenant_t tenant, std::uint64_t seed) {
+      ArrivalConfig arrivals;
+      arrivals.process = ArrivalProcess::kPoisson;
+      arrivals.rate = 3.0 * capacity;
+      arrivals.seed = seed;
+      TrafficGenerator traffic(group, seed);
+      return traffic.run_open_loop(arrivals, g_requests, [tenant](std::size_t) {
+        return RequestMeta{.tenant = tenant};
+      });
     };
-    RouterStats at_heavy_done;
+    AdmissionStats at_heavy_done;
     std::thread heavy_thread([&] {
-      heavy = run_router_open_loop(router, make_load(0, g_seed));
-      at_heavy_done = router.stats();
+      heavy = run_stream(0, g_seed);
+      at_heavy_done = group.admission_stats();
     });
-    light = run_router_open_loop(router, make_load(1, g_seed + 1));
+    light = run_stream(1, g_seed + 1);
     heavy_thread.join();
-    rstats = router.stats();
+    rstats = group.admission_stats();
     group.stop();
     const double served_heavy = static_cast<double>(at_heavy_done.tenants[0].completed);
     const double served_light = static_cast<double>(at_heavy_done.tenants[1].completed);

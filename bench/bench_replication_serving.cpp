@@ -18,7 +18,6 @@
 #include "graph/datasets.hpp"
 #include "serve/model_snapshot.hpp"
 #include "serve/replica_group.hpp"
-#include "serve/router.hpp"
 
 namespace distgnn {
 namespace {
@@ -28,8 +27,8 @@ using namespace distgnn::serve;
 double g_rate = 3000.0;
 std::size_t g_requests = 300;
 double g_deadline_ms = 20.0;
-// --seed drives the arrival process and the router's vertex/priority
-// streams, so the JSON artifact is reproducible run-to-run.
+// --seed drives the arrival process and the vertex/priority streams, so the
+// JSON artifact is reproducible run-to-run.
 std::uint64_t g_seed = 5;
 
 struct ReplicationFixture {
@@ -86,34 +85,28 @@ ArrivalConfig mmpp_arrivals() {
 void run_replicated(benchmark::State& state, int replicas, RoutePolicy policy, bool shed) {
   ReplicationFixture& f = ReplicationFixture::get();
   LoadReport last;
-  RouterStats last_stats;
+  AdmissionStats last_stats;
   obs::MetricsSnapshot scrape;
   for (auto _ : state) {
-    ReplicaGroup group(f.dataset, f.config(), replicas);
-    group.publish(f.snapshot);
-    group.start();
     AdmissionConfig admission;
     admission.shed_deadlines = shed;
     admission.low_priority_depth = 64;
-    Router router(group, policy, admission);
+    ReplicaGroup group(f.dataset, f.config(), replicas, policy, admission);
+    group.publish(f.snapshot);
+    group.start();
 
     // Closed-loop warmup primes the per-replica service-rate estimate the
     // deadline controller divides queue depth by.
     std::vector<vid_t> warmup;
     for (vid_t v = 0; v < 32; ++v) warmup.push_back((v * 131) % f.dataset.num_vertices());
-    (void)router.infer_batch(warmup);
-    const RouterStats warmed = router.stats();  // measured run reports deltas
+    (void)group.infer_batch(warmup);
+    const AdmissionStats warmed = group.admission_stats();  // measured run reports deltas
 
-    RouterLoadConfig load;
-    load.arrivals = mmpp_arrivals();
-    load.num_requests = g_requests;
-    load.deadline_seconds = g_deadline_ms * 1e-3;
-    load.low_priority_fraction = 0.3;
-    load.seed = g_seed;
-    last = run_router_open_loop(router, load);
-    last_stats = router.stats().since(warmed);
+    last = run_deadline_open_loop(group, mmpp_arrivals(), g_requests, g_deadline_ms * 1e-3,
+                                  /*low_priority_fraction=*/0.3, g_seed);
+    last_stats = group.admission_stats().since(warmed);
     scrape = obs::MetricsSnapshot{};
-    router.scrape(scrape);
+    group.scrape(scrape);
     group.stop();
   }
   state.SetLabel(route_policy_name(policy) + (shed ? "/shed" : "/no-shed"));

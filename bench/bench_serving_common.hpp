@@ -15,7 +15,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "serve/router.hpp"
+#include "serve/replica_group.hpp"
 #include "serve/traffic_gen.hpp"
 #include "util/options.hpp"
 
@@ -67,8 +67,9 @@ inline void attach_stage_counters(benchmark::State& state, const obs::MetricsSna
   }
 }
 
-/// Canonical admission-control counter set for router-fronted tiers.
-inline void attach_admission_counters(benchmark::State& state, const serve::RouterStats& stats) {
+/// Canonical admission-control counter set for replica-group tiers.
+inline void attach_admission_counters(benchmark::State& state,
+                                      const serve::AdmissionStats& stats) {
   state.counters["shed_rate"] = stats.shed_rate();
   state.counters["shed_deadline"] = static_cast<double>(stats.shed_deadline);
   state.counters["shed_priority"] = static_cast<double>(stats.shed_priority);

@@ -1,7 +1,7 @@
 // Health & SLO engine demo / smoke: one HealthMonitor watching a full
-// serving tower — a ModelRegistry fronting a ComposedTier (R replicas x P
-// shards) — plus a DeltaPublisher's freshness probe, with every alert family
-// driven on purpose:
+// serving tower — a ModelRegistry fronting a composed ReplicaGroup (R
+// replicas x P shards) — plus a DeltaPublisher's freshness probe, with every
+// alert family driven on purpose:
 //
 //   1. An MMPP burst against a deliberately tight SLO deadline makes the
 //      per-tenant burn rate overspend both SRE windows -> burn_rate fires;
@@ -28,6 +28,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -37,10 +38,10 @@
 #include "obs/expose.hpp"
 #include "obs/health.hpp"
 #include "partition/libra.hpp"
-#include "serve/composed_tier.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/model_snapshot.hpp"
+#include "serve/replica_group.hpp"
 #include "serve/tier_config.hpp"
 #include "stream/delta_publisher.hpp"
 #include "stream/graph_delta.hpp"
@@ -111,16 +112,18 @@ int run_demo(const Options& opts) {
   composed_cfg.replicas = replicas;
   composed_cfg.shard.max_batch = 8;
   composed_cfg.shard.fanouts = {6, 6};
-  composed_cfg.admission.shed_deadlines = false;
   TenantSlo slo;
   slo.name = "alpha";
   slo.deadline_seconds = 1e-4;  // 100µs: a queued burst blows straight past it
   slo.slo_target = 0.999;
-  composed_cfg.admission.tenants = {slo};
+  AdmissionConfig admission;
+  admission.shed_deadlines = false;
+  admission.tenants = {slo};
 
   ModelRegistry registry;
-  auto tier_owned = std::make_unique<ComposedTier>(dataset, partition, composed_cfg);
-  ComposedTier* tier = tier_owned.get();
+  auto tier_owned = std::make_unique<ReplicaGroup>(dataset, partition, composed_cfg,
+                                                   RoutePolicy::kPowerOfTwo, admission);
+  ReplicaGroup* tier = tier_owned.get();
   const tenant_t tenant = registry.add(slo, std::move(tier_owned));
   registry.publish(tenant, snapshot);
   registry.start();
@@ -186,16 +189,22 @@ int run_demo(const Options& opts) {
     sleep_seconds(0.05);
   std::printf("%s\n", monitor.summary_line().c_str());
 
-  // Phase 2 — wedged publish barrier: hold an admission slot open, publish
-  // from another thread, and let the watchdog catch the closed barrier.
+  // Phase 2 — wedged publish barrier: hold an admission slot open (a request
+  // whose reply callback parks until released), publish from another
+  // thread, and let the watchdog catch the closed barrier.
   std::printf("== phase 2: wedged publish barrier ==\n");
-  tier->group().begin_requests(1);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  RequestMeta wedge;
+  wedge.tenant = tenant;
+  while (!tier->submit(0, wedge, [released](InferResult&&) { released.wait(); }))
+    sleep_seconds(0.01);
   auto snapshot_v2 = ModelSnapshot::random(spec, seed + 1, /*version=*/2);
   std::thread wedged_publish([&] { tier->publish(std::move(snapshot_v2)); });
-  while (!tier->group().publishing()) std::this_thread::yield();
+  while (!tier->publishing()) std::this_thread::yield();
   for (int i = 0; i < 100 && tally.count(obs::HealthRule::kBarrierStuck, true) == 0; ++i)
     sleep_seconds(0.05);
-  tier->group().end_request();  // release: the publish completes
+  release.set_value();  // release: the publish completes
   wedged_publish.join();
   for (int i = 0; i < 100 && !tally.saw_pair(obs::HealthRule::kBarrierStuck); ++i)
     sleep_seconds(0.05);

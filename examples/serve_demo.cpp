@@ -18,13 +18,13 @@
 // "embed cache summary:" line with the hit rate and both p99s.
 //
 // After the single-server stages, the same snapshot goes to a replicated
-// tier: a ReplicaGroup of --replicas servers fronted by a Router with the
-// chosen load-balancing policy and deadline-aware admission control, driven
-// by the same arrival process at the same rate. The final stage composes
-// both scaling axes — a ComposedTier of --replicas ShardedServers over
-// --shards vertex-cut shards each — publishes through the broadcast wire
-// path, checks a probe batch bitwise against the single server, and drives
-// the same arrival process through the grid ("composed summary:" line).
+// tier: a ReplicaGroup of --replicas servers with the chosen load-balancing
+// policy and deadline-aware admission control, driven by the same arrival
+// process at the same rate. The final stage composes both scaling axes — a
+// ReplicaGroup of --replicas ShardedServers over --shards vertex-cut shards
+// each — publishes through the broadcast wire path, checks a probe batch
+// bitwise against the single server, and drives the same arrival process
+// through the grid ("composed summary:" line).
 //
 // Every tier runs with stage tracing at --trace-rate sampling. After the
 // multi-tenant stage a "stage breakdown" table shows p50/p99 per serving
@@ -54,12 +54,10 @@
 #include "graph/hetero.hpp"
 #include "nn/serialize.hpp"
 #include "partition/libra.hpp"
-#include "serve/composed_tier.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/model_snapshot.hpp"
 #include "serve/replica_group.hpp"
-#include "serve/router.hpp"
 #include "serve/traffic_gen.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
@@ -171,18 +169,17 @@ int run_demo(const Options& opts) {
   server.stop();
 
   // 5. Replicated tier: the v2 snapshot published to a ReplicaGroup as one
-  //    version-barriered group operation, fronted by a Router with deadline
-  //    admission and a low-priority shed lane, under the same arrival
-  //    process at the same offered rate.
+  //    version-barriered group operation, with deadline admission and a
+  //    low-priority shed lane, under the same arrival process at the same
+  //    offered rate. Every request's deadline starts at its submit instant;
+  //    a seeded --low-frac of them is low priority.
   const int replicas = std::max(1, static_cast<int>(opts.get_int("replicas", 2)));
-  ReplicaGroup group(dataset, serve_cfg, replicas);
-  group.publish(server.snapshot());
-  group.start();
-
   AdmissionConfig admission;
   admission.shed_deadlines = !opts.get_bool("no-shed", false);
   admission.low_priority_depth = serve_cfg.queue_capacity / 8;
-  Router router(group, policy, admission);
+  ReplicaGroup group(dataset, serve_cfg, replicas, policy, admission);
+  group.publish(server.snapshot());
+  group.start();
   std::printf("replicated tier: %d replicas, %s routing, group version %llu\n", replicas,
               route_policy_name(policy).c_str(),
               static_cast<unsigned long long>(group.version()));
@@ -191,21 +188,18 @@ int run_demo(const Options& opts) {
   std::vector<vid_t> warmup;
   for (vid_t v = 0; v < 32; ++v)
     warmup.push_back((v * 131) % static_cast<vid_t>(dataset.num_vertices()));
-  (void)router.infer_batch(warmup);
-  const RouterStats warmed = router.stats();  // report the measured run only
+  (void)group.infer_batch(warmup);
+  const AdmissionStats warmed = group.admission_stats();  // report the measured run only
 
-  RouterLoadConfig load;
-  load.arrivals = arrivals;
-  load.num_requests = requests;
-  load.deadline_seconds = opts.get_double("deadline-ms", 20.0) * 1e-3;
-  load.low_priority_fraction = opts.get_double("low-frac", 0.3);
-  load.seed = serve_cfg.sample_seed;
-  const LoadReport replicated = run_router_open_loop(router, load);
+  const double deadline_seconds = opts.get_double("deadline-ms", 20.0) * 1e-3;
+  const double low_frac = opts.get_double("low-frac", 0.3);
+  const LoadReport replicated = run_deadline_open_loop(group, arrivals, requests, deadline_seconds,
+                                                       low_frac, serve_cfg.sample_seed);
   group.stop();
 
   std::printf("%s\n",
               render_load_reports(std::vector<LoadReport>{replicated}, "replicated tier").c_str());
-  const RouterStats rstats = router.stats().since(warmed);
+  const AdmissionStats rstats = group.admission_stats().since(warmed);
   std::printf("admission: %llu admitted, shed %llu deadline / %llu priority / %llu queue-full\n",
               static_cast<unsigned long long>(rstats.admitted),
               static_cast<unsigned long long>(rstats.shed_deadline),
@@ -242,7 +236,7 @@ int run_demo(const Options& opts) {
               embed_reports[1].p99_ms, embed_reports[0].p99_ms);
 
   // 7. Composed tier: both scaling axes at once — R ShardedServer replicas
-  //    over P vertex-cut shards, fronted by the same Router policy and
+  //    over P vertex-cut shards, behind the same placement policy and
   //    admission control, published through the broadcast wire path. A probe
   //    batch is checked bitwise against the single server's answers before
   //    the open-loop run.
@@ -251,20 +245,18 @@ int run_demo(const Options& opts) {
       partition_libra(dataset.graph.coo(), static_cast<part_t>(shards));
   ComposedConfig composed_cfg;
   composed_cfg.replicas = replicas;
-  composed_cfg.policy = policy;
-  composed_cfg.admission = admission;
   composed_cfg.shard.max_batch = serve_cfg.max_batch;
   composed_cfg.shard.fanouts = serve_cfg.fanouts;
   composed_cfg.shard.sample_seed = serve_cfg.sample_seed;
   composed_cfg.shard.trace_sample_rate = serve_cfg.trace_sample_rate;
   composed_cfg.shard.queue_capacity = serve_cfg.queue_capacity;
   composed_cfg.shard.prefetch_depth = 2;
-  ComposedTier tier(dataset, partition, composed_cfg);
+  ReplicaGroup tier(dataset, partition, composed_cfg, policy, admission);
   tier.publish(server.snapshot());  // v2, through the broadcast wire path
   tier.start();
   std::printf("composed tier: %d replicas x %d shards (%d serving ranks), %s routing, "
               "grid version %llu\n",
-              tier.num_replicas(), tier.num_shards(), tier.concurrency(),
+              tier.num_replicas(), shards, tier.concurrency(),
               route_policy_name(policy).c_str(),
               static_cast<unsigned long long>(tier.version()));
 
@@ -273,16 +265,16 @@ int run_demo(const Options& opts) {
   bool match = true;
   for (std::size_t i = 0; i < probe.size(); ++i)
     match = match && probed[i].has_value() && probed[i]->logits == probe_expected[i];
-  const RouterStats composed_warmed = tier.router().stats();
+  const AdmissionStats composed_warmed = tier.admission_stats();
 
-  RouterLoadConfig composed_load = load;
-  const LoadReport composed = run_router_open_loop(tier.router(), composed_load);
+  const LoadReport composed = run_deadline_open_loop(tier, arrivals, requests, deadline_seconds,
+                                                     low_frac, serve_cfg.sample_seed);
   tier.stop();
 
   std::printf("%s\n", render_load_reports(std::vector<LoadReport>{composed},
                                           "composed tier (replicated x sharded)")
                           .c_str());
-  const RouterStats cstats = tier.router().stats().since(composed_warmed);
+  const AdmissionStats cstats = tier.admission_stats().since(composed_warmed);
   std::printf("composed summary: QPS=%.0f p99_ms=%.3f p99_9_ms=%.3f shed_rate=%.3f match=%d\n",
               composed.qps, composed.p99_ms, composed.p999_ms, cstats.shed_rate(),
               match ? 1 : 0);
@@ -406,8 +398,9 @@ int run_demo(const Options& opts) {
   }
   std::printf("%s\n", stage_table.render("stage breakdown (registry scrape)").c_str());
 
-  // 10. Exposition: one combined scrape (composed tier's router -> group ->
-  //     sharded ranks, plus the registry's edge counters and leaf servers)
+  // 10. Exposition: one combined scrape (the composed tier's admission
+  //     counters and sharded ranks, plus the registry's edge counters and
+  //     leaf servers)
   //     rendered to Prometheus text, and the sampled request traces to
   //     Chrome trace_event JSON.
   obs::MetricsSnapshot scrape_all;

@@ -1,6 +1,6 @@
 // ScrapeSource: the one-call observability walk over the serving tower.
 //
-// Every ServingBackend (and the ModelRegistry / Router front doors) exposes
+// Every ServingBackend (and the ModelRegistry front door) exposes
 // its telemetry through this interface: scrape() folds the component's own
 // metrics into the caller's snapshot and recurses into children, so a single
 // scrape of the tower root yields every stage histogram and counter of every

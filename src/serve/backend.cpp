@@ -80,6 +80,14 @@ TenantFoldReport check_tenant_fold(const BackendStats& stats, bool edge_authorit
 
 std::vector<std::optional<InferResult>> ServingBackend::infer_batch(
     std::span<const vid_t> vertices, const RequestMeta& meta) {
+  return submit_all(vertices, meta,
+                    [this](vid_t v, const RequestMeta& m, std::function<void(InferResult&&)> done) {
+                      return submit(v, m, std::move(done));
+                    });
+}
+
+std::vector<std::optional<InferResult>> ServingBackend::submit_all(
+    std::span<const vid_t> vertices, const RequestMeta& meta, const SubmitFn& submit_one) {
   const std::size_t n = vertices.size();
   std::vector<std::optional<InferResult>> results(n);
   if (n == 0) return results;
@@ -92,7 +100,7 @@ std::vector<std::optional<InferResult>> ServingBackend::infer_batch(
       util::MutexLock lock(mutex);
       ++pending;
     }
-    const bool ok = submit(vertices[i], meta, [&, i](InferResult&& result) {
+    const bool ok = submit_one(vertices[i], meta, [&, i](InferResult&& result) {
       util::MutexLock lock(mutex);
       results[i] = std::move(result);
       if (--pending == 0) cv.notify_all();

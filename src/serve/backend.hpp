@@ -3,17 +3,18 @@
 // ServingBackend is the one polymorphic contract behind every serving tier —
 // submit with deadline/priority/tenant metadata, batch inference, snapshot
 // publication, queue-depth introspection, drain — so read scaling
-// (replication) and memory scaling (sharding) compose: a Router can front
-// any mix of backends, a ReplicaGroup can replicate ShardedServers, and
+// (replication) and memory scaling (sharding) compose: a ReplicaGroup can
+// place requests over any mix of backends, including ShardedServers, and
 // admission control / traffic generation / the embedding cache apply
 // uniformly to every tier.
 //
 // The concrete implementations form a tower:
 //
-//   InferenceServer            one process, worker pool, micro-batching
-//   ShardedServer              P ranks over a vertex-cut feature shard
-//   ReplicaGroup               N identical backends + version-barriered publish
-//   ComposedTier               R ShardedServer replicas x P shards + Router
+//   InferenceServer   one process, worker pool, micro-batching
+//   ShardedServer     P ranks over a vertex-cut feature shard
+//   ReplicaGroup      N backends (InferenceServers, or R ShardedServers x P
+//                     shards for the composed tier): placement policy,
+//                     admission, tenant lanes, version-barriered publish
 //
 // The two leaves share one request lifecycle (serve/request_lifecycle.hpp):
 // admission, reply, stats and traces are written once.
@@ -82,7 +83,7 @@ struct BackendStats {
 
   /// End-to-end request latency histogram (submit -> reply callback), filled
   /// by leaf backends from their metrics registry and folded bucket-wise in
-  /// absorb() — so a ReplicaGroup/ComposedTier snapshot carries a real
+  /// absorb() — so a ReplicaGroup snapshot carries a real
   /// latency distribution instead of re-measuring at every layer.
   obs::HistogramData latency;
 
@@ -158,10 +159,11 @@ struct TenantFoldReport {
 /// (each layer used to hand-merge lanes, and a missed lane silently
 /// under-counted). For every tenant lane of `stats`:
 ///   - strict mode (edge_authoritative = false; parents whose lanes exist
-///     only via absorb(), e.g. ReplicaGroup): submitted/completed/shed must
-///     each equal the fold of the children's lanes.
+///     only via absorb(), e.g. a single-tenant ReplicaGroup):
+///     submitted/completed/shed must each equal the fold of the children's
+///     lanes.
 ///   - edge mode (edge_authoritative = true; parents that replace lanes with
-///     their own edge accounting, e.g. ComposedTier in tenant mode or
+///     their own edge accounting, e.g. a tenant-mode ReplicaGroup or
 ///     ModelRegistry): completed must equal the children's fold (every
 ///     admitted request is answered exactly once below the edge — exact only
 ///     after drain), and submitted/shed must be >= the children's fold (the
@@ -198,7 +200,7 @@ class ServingBackend : public obs::ScrapeSource {
 
   /// Atomically swaps the served model; callable before start() and at any
   /// point under live traffic. Composite backends make this a version-
-  /// barriered group operation (see ReplicaGroup / ComposedTier).
+  /// barriered group operation (see ReplicaGroup).
   virtual void publish(std::shared_ptr<const ModelSnapshot> snapshot) = 0;
   virtual std::shared_ptr<const ModelSnapshot> snapshot() const = 0;
 
@@ -222,9 +224,9 @@ class ServingBackend : public obs::ScrapeSource {
   }
 
   /// Blocking batch: one entry per vertex, nullopt where the request was not
-  /// admitted. The default implementation submits through the virtual
-  /// submit() and waits; composite backends override to pin the whole batch
-  /// to one admission epoch (no answer mixes snapshot versions).
+  /// admitted. The default implementation is submit_all() over the virtual
+  /// submit(); composite backends override to pin the whole batch to one
+  /// admission epoch (no answer mixes snapshot versions).
   virtual std::vector<std::optional<InferResult>> infer_batch(std::span<const vid_t> vertices,
                                                               const RequestMeta& meta);
   std::vector<std::optional<InferResult>> infer_batch(std::span<const vid_t> vertices) {
@@ -278,6 +280,16 @@ class ServingBackend : public obs::ScrapeSource {
   /// Folded into embed-cache keys so racing in-flight batches can never
   /// read a mixed-epoch embedding.
   virtual std::uint64_t graph_epoch() const { return 0; }
+
+ protected:
+  using SubmitFn = std::function<bool(vid_t, const RequestMeta&,
+                                      std::function<void(InferResult&&)>)>;
+  /// The "submit n, wait for all" body behind infer_batch: `submit_one` per
+  /// vertex (false = not admitted, and its callback never runs), then block
+  /// until every admitted request has answered.
+  static std::vector<std::optional<InferResult>> submit_all(std::span<const vid_t> vertices,
+                                                            const RequestMeta& meta,
+                                                            const SubmitFn& submit_one);
 };
 
 }  // namespace distgnn::serve

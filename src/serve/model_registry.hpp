@@ -6,8 +6,8 @@
 // stamps the entry's SLO into the RequestMeta (deadline, priority, tenant
 // id), enforces the entry's token-bucket admission budget at the edge, and
 // forwards to the entry's backend. Any ServingBackend can sit behind an
-// entry: a plain InferenceServer, a ReplicaGroup with a weighted-fair
-// Router, a ShardedServer, or a whole ComposedTier — so one tenant can be
+// entry: a plain InferenceServer, a ShardedServer, or a ReplicaGroup —
+// weighted-fair lanes, or the composed R x P grid — so one tenant can be
 // replicated x sharded while its neighbour is a single cheap server.
 //
 // Isolation properties the registry provides (and the multitenant bench
@@ -25,7 +25,7 @@
 //     of A.
 //
 // The tenant id is the entry index (dense, stable for the registry's
-// lifetime), which is also how per-tenant stats lanes and the Router's
+// lifetime), which is also how per-tenant stats lanes and a replica group's
 // AdmissionConfig::tenants index their tenants.
 #pragma once
 
@@ -148,10 +148,11 @@ struct TenantStream {
   std::uint64_t seed = 11;
 };
 
-/// Drives all streams concurrently — one thread per stream, one shared
-/// t=0 — so K independent MMPP processes hit the registry the way K real
-/// tenants would. reports[i] covers streams[i] (label = tenant name);
-/// rejected counts budget sheds and backend rejections.
+/// Drives all streams concurrently through run_open_loop_core — one thread
+/// per stream, one shared t=0 — so K independent MMPP processes hit the
+/// registry the way K real tenants would. reports[i] covers streams[i]
+/// (label = tenant name); rejected counts budget sheds and backend
+/// rejections.
 std::vector<LoadReport> run_registry_open_loop(ModelRegistry& registry,
                                                std::span<const TenantStream> streams);
 

@@ -97,30 +97,44 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::random(const ModelSpec& spec
   return snap;
 }
 
+std::vector<DenseMatrix*> ModelSnapshot::parameters() const {
+  // Must match the trained model's params(): SAGE = per layer weight, bias;
+  // RGCN = weight, self bias, then one weight per relation in ascending
+  // relation order (RgcnLayer::collect_params); GAT = weight, attn_src,
+  // attn_dst.
+  std::vector<DenseMatrix*> params;
+  for (const LayerWeights& lw : layers_) {
+    auto& w = const_cast<LayerWeights&>(lw);
+    params.push_back(&w.weight);
+    if (spec_.kind == ModelKind::kGat) {
+      params.push_back(&w.attn_src);
+      params.push_back(&w.attn_dst);
+    } else {
+      params.push_back(&w.bias);
+      for (DenseMatrix& wr : w.rel_weight) params.push_back(&wr);  // empty unless RGCN
+    }
+  }
+  return params;
+}
+
+namespace {
+
+std::vector<ParamRef> param_refs(const std::vector<DenseMatrix*>& params) {
+  std::vector<ParamRef> refs;
+  refs.reserve(params.size());
+  for (DenseMatrix* m : params) refs.push_back({m->data(), nullptr, m->size()});
+  return refs;
+}
+
+}  // namespace
+
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::from_checkpoint(const ModelSpec& spec,
                                                                     const std::string& path,
                                                                     std::uint64_t version) {
   // Allocate the right shapes, then let load_checkpoint fill (and validate
-  // against) them. The ParamRef order must match the corresponding trained
-  // model's params(): SAGE = per layer weight, bias; GAT = per layer weight,
-  // attn_src, attn_dst.
+  // against) them.
   auto snap = allocate(spec, version);
-  std::vector<ParamRef> refs;
-  for (LayerWeights& lw : snap->layers_) {
-    refs.push_back({lw.weight.data(), nullptr, lw.weight.size()});
-    if (spec.kind == ModelKind::kSage) {
-      refs.push_back({lw.bias.data(), nullptr, lw.bias.size()});
-    } else if (spec.kind == ModelKind::kRgcn) {
-      // RgcnLayer::collect_params order: self weight, self bias, then one
-      // weight per relation in ascending relation order.
-      refs.push_back({lw.bias.data(), nullptr, lw.bias.size()});
-      for (DenseMatrix& wr : lw.rel_weight) refs.push_back({wr.data(), nullptr, wr.size()});
-    } else {
-      refs.push_back({lw.attn_src.data(), nullptr, lw.attn_src.size()});
-      refs.push_back({lw.attn_dst.data(), nullptr, lw.attn_dst.size()});
-    }
-  }
-  load_checkpoint(refs, path);
+  load_checkpoint(param_refs(snap->parameters()), path);
   return snap;
 }
 
@@ -129,23 +143,11 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::from_flat(const ModelSpec& s
                                                               std::uint64_t version) {
   auto snap = allocate(spec, version);
   std::size_t off = 0;
-  const auto take = [&](DenseMatrix& dst) {
-    if (off + dst.size() > flat.size())
+  for (DenseMatrix* dst : snap->parameters()) {
+    if (off + dst->size() > flat.size())
       throw std::runtime_error("ModelSnapshot::from_flat: payload too small for spec");
-    std::copy(flat.data() + off, flat.data() + off + dst.size(), dst.data());
-    off += dst.size();
-  };
-  for (LayerWeights& lw : snap->layers_) {
-    take(lw.weight);
-    if (spec.kind == ModelKind::kSage) {
-      take(lw.bias);
-    } else if (spec.kind == ModelKind::kRgcn) {
-      take(lw.bias);
-      for (DenseMatrix& wr : lw.rel_weight) take(wr);
-    } else {
-      take(lw.attn_src);
-      take(lw.attn_dst);
-    }
+    std::copy(flat.data() + off, flat.data() + off + dst->size(), dst->data());
+    off += dst->size();
   }
   if (off != flat.size())
     throw std::runtime_error("ModelSnapshot::from_flat: payload larger than spec");
@@ -155,50 +157,19 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::from_flat(const ModelSpec& s
 std::vector<real_t> ModelSnapshot::flatten() const {
   std::vector<real_t> flat;
   flat.reserve(num_parameters());
-  const auto put = [&](const DenseMatrix& src) {
-    flat.insert(flat.end(), src.data(), src.data() + src.size());
-  };
-  for (const LayerWeights& lw : layers_) {
-    put(lw.weight);
-    if (spec_.kind == ModelKind::kSage) {
-      put(lw.bias);
-    } else if (spec_.kind == ModelKind::kRgcn) {
-      put(lw.bias);
-      for (const DenseMatrix& wr : lw.rel_weight) put(wr);
-    } else {
-      put(lw.attn_src);
-      put(lw.attn_dst);
-    }
-  }
+  for (const DenseMatrix* src : parameters())
+    flat.insert(flat.end(), src->data(), src->data() + src->size());
   return flat;
 }
 
 std::size_t ModelSnapshot::num_parameters() const {
   std::size_t n = 0;
-  for (const LayerWeights& lw : layers_) {
-    n += lw.weight.size() + lw.bias.size() + lw.attn_src.size() + lw.attn_dst.size();
-    for (const DenseMatrix& wr : lw.rel_weight) n += wr.size();
-  }
+  for (const DenseMatrix* m : parameters()) n += m->size();
   return n;
 }
 
 void ModelSnapshot::save(const std::string& path) const {
-  std::vector<ParamRef> refs;
-  for (const LayerWeights& lw : layers_) {
-    // save_checkpoint only reads through value; the const_cast is safe.
-    refs.push_back({const_cast<real_t*>(lw.weight.data()), nullptr, lw.weight.size()});
-    if (spec_.kind == ModelKind::kSage) {
-      refs.push_back({const_cast<real_t*>(lw.bias.data()), nullptr, lw.bias.size()});
-    } else if (spec_.kind == ModelKind::kRgcn) {
-      refs.push_back({const_cast<real_t*>(lw.bias.data()), nullptr, lw.bias.size()});
-      for (const DenseMatrix& wr : lw.rel_weight)
-        refs.push_back({const_cast<real_t*>(wr.data()), nullptr, wr.size()});
-    } else {
-      refs.push_back({const_cast<real_t*>(lw.attn_src.data()), nullptr, lw.attn_src.size()});
-      refs.push_back({const_cast<real_t*>(lw.attn_dst.data()), nullptr, lw.attn_dst.size()});
-    }
-  }
-  save_checkpoint(refs, path);
+  save_checkpoint(param_refs(parameters()), path);  // reads through the refs only
 }
 
 void ModelSnapshot::forward_batch(std::span<const MiniBatch> batch, ConstMatrixView inputs,

@@ -54,8 +54,8 @@ struct ForwardScratch {
 class ModelSnapshot {
  public:
   /// Loads a checkpoint written by save_checkpoint over the corresponding
-  /// model's params() (SAGE: per layer weight then bias; GAT: per layer
-  /// weight, attn_src, attn_dst). Shape mismatches throw std::runtime_error.
+  /// model's params() (the order parameters() spells out). Shape mismatches
+  /// throw std::runtime_error.
   static std::shared_ptr<const ModelSnapshot> from_checkpoint(const ModelSpec& spec,
                                                               const std::string& path,
                                                               std::uint64_t version);
@@ -120,6 +120,12 @@ class ModelSnapshot {
   /// Shapes every layer (zero weights, relu flags set) without drawing any
   /// random numbers — the base for every loader that overwrites the values.
   static std::shared_ptr<ModelSnapshot> allocate(const ModelSpec& spec, std::uint64_t version);
+
+  /// Every parameter matrix in checkpoint order — the one place the
+  /// per-ModelKind order lives; loaders, flatten() and save() all walk it.
+  /// Pointers are mutable so loaders can fill a freshly allocated snapshot
+  /// before it is shared; published snapshots are only ever read through it.
+  std::vector<DenseMatrix*> parameters() const;
 
   void forward_sage(std::span<const MiniBatch> batch, ForwardScratch& scratch) const;
   void forward_gat(std::span<const MiniBatch> batch, ForwardScratch& scratch) const;

@@ -31,8 +31,8 @@
 // accurate halo *embedding* fetch is a ROADMAP follow-on).
 //
 // ShardedServer implements ServingBackend, so a ReplicaGroup can replicate
-// it (ComposedTier: R replicas x P shards) and the Router / traffic
-// generators drive it exactly like a single InferenceServer.
+// it (the composed tier: R replicas x P shards) and traffic generators drive
+// it exactly like a single InferenceServer.
 #pragma once
 
 #include <atomic>

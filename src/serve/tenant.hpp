@@ -26,14 +26,22 @@ namespace distgnn::serve {
 
 using ServeClock = std::chrono::steady_clock;
 
+/// `seconds` from `now` on ServeClock — how a relative deadline (a tenant
+/// SLO, a driver's per-request budget) becomes a RequestMeta deadline.
+inline ServeClock::time_point deadline_after(double seconds,
+                                             ServeClock::time_point now = ServeClock::now()) {
+  return now + std::chrono::duration_cast<ServeClock::duration>(
+                   std::chrono::duration<double>(seconds));
+}
+
 /// Two-lane request priority for the admission controller: under pressure
-/// the router sheds kLow work first, so paying (kHigh) traffic keeps its
-/// tail latency through an MMPP burst.
+/// a replica group sheds kLow work first, so paying (kHigh) traffic keeps
+/// its tail latency through an MMPP burst.
 enum class Priority : std::uint8_t { kHigh = 0, kLow = 1 };
 
 /// Tenant identifier carried end-to-end through the request API. In a
-/// ModelRegistry it is the entry index; in a tenant-aware Router it indexes
-/// AdmissionConfig::tenants. Requests default to tenant 0.
+/// ModelRegistry it is the entry index; in a tenant-mode ReplicaGroup it
+/// indexes AdmissionConfig::tenants. Requests default to tenant 0.
 using tenant_t = std::int32_t;
 inline constexpr tenant_t kDefaultTenant = 0;
 
@@ -64,7 +72,7 @@ struct TenantSlo {
   double rate_limit = 0;
   /// Token-bucket capacity: the burst the budget forgives.
   double burst = 16;
-  /// Per-tenant staging-queue bound in the weighted-fair router.
+  /// Per-tenant staging-queue bound in a tenant-mode ReplicaGroup.
   std::size_t stage_capacity = 1024;
   /// Success-rate objective for the health engine's burn-rate rule: the
   /// fraction of requests expected to finish within deadline_seconds, so the
@@ -74,7 +82,7 @@ struct TenantSlo {
 };
 
 /// Leaky token bucket over ServeClock. NOT internally synchronized: callers
-/// (the Router's stage lock, a registry entry's admission lock) already
+/// (a replica group's stage lock, a registry entry's admission lock) already
 /// serialize the admission path, and keeping the bucket a plain value type
 /// keeps tenant state movable.
 class TokenBucket {

@@ -1,7 +1,7 @@
 // Shared serving-tier configuration base.
 //
 // ServeConfig (single-process), ShardedServeConfig (P-rank sharded) and
-// ComposedTier's per-replica shard config used to triplicate the same
+// the composed tier's per-replica shard config used to triplicate the same
 // deadline/cache/batching knobs with drifting field names. TierConfig is the
 // consolidation: every tier-shaped config derives from it, so a ModelRegistry
 // entry configures one knob set regardless of which backend serves it, and a

@@ -211,39 +211,76 @@ EmbedWorkloadReport run_embed_cache_workload(const Dataset& dataset,
   return report;
 }
 
+namespace {
+
+LoadReport make_report(std::string label, double duration, std::uint64_t offered,
+                       std::uint64_t rejected, const LatencyRecorder& latencies,
+                       const BackendStats& before, const BackendStats& after) {
+  LoadReport report;
+  report.label = std::move(label);
+  report.duration_seconds = duration;
+  report.offered = offered;
+  report.completed = offered - rejected;
+  report.rejected = rejected;
+  report.qps = duration > 0 ? static_cast<double>(report.completed) / duration : 0.0;
+  fill_latency_fields(report, latencies);
+  const std::uint64_t batches = after.batches - before.batches;
+  report.mean_batch = batches == 0 ? 0.0
+                                   : static_cast<double>(after.batched_requests -
+                                                         before.batched_requests) /
+                                         static_cast<double>(batches);
+  return report;
+}
+
+}  // namespace
+
+LoadReport run_open_loop_core(const ServingBackend& backend, std::span<const double> offsets,
+                              ServeClock::time_point begin, const OpenLoopSubmit& submit) {
+  const std::size_t n = offsets.size();
+  const BackendStats before = backend.stats();
+  LatencyRecorder latencies;
+  util::Mutex done_mutex;
+  util::CondVar done_cv;
+  std::size_t accounted = 0;
+  std::uint64_t rejected = 0;
+  const auto account = [&](bool was_rejected) {
+    util::MutexLock lock(done_mutex);
+    if (was_rejected) ++rejected;
+    ++accounted;
+    if (accounted == n) done_cv.notify_all();
+  };
+
+  for (std::size_t i = 0; i < n; ++i) {
+    std::this_thread::sleep_until(begin + std::chrono::duration<double>(offsets[i]));
+    const bool accepted = submit(i, [&](InferResult&& result) {
+      latencies.record(result.latency_seconds);
+      account(false);
+    });
+    if (!accepted) account(true);
+  }
+  {
+    util::MutexLock lock(done_mutex);
+    while (accounted != n) done_cv.wait(lock);
+  }
+  const double duration = std::chrono::duration<double>(ServeClock::now() - begin).count();
+  return make_report("", duration, n, rejected, latencies, before, backend.stats());
+}
+
 TrafficGenerator::TrafficGenerator(ServingBackend& server, std::uint64_t seed, double zipf_s,
                                    std::uint64_t zipf_perm_seed)
-    : server_(server), rng_(seed) {
+    : server_(server),
+      num_vertices_(static_cast<std::uint64_t>(server.dataset().num_vertices())),
+      rng_(seed) {
   if (zipf_s < 0) throw std::invalid_argument("TrafficGenerator: zipf_s must be >= 0");
   if (zipf_s > 0) {
     Rng perm_rng(zipf_perm_seed);
-    zipf_.emplace(static_cast<std::uint64_t>(server_.dataset().num_vertices()), zipf_s, perm_rng);
+    zipf_.emplace(num_vertices_, zipf_s, perm_rng);
   }
 }
 
 vid_t TrafficGenerator::random_vertex() {
   if (zipf_) return static_cast<vid_t>(zipf_->draw(rng_));
-  return static_cast<vid_t>(
-      rng_.next_below(static_cast<std::uint64_t>(server_.dataset().num_vertices())));
-}
-
-LoadReport TrafficGenerator::finish(const std::string& label, double duration,
-                                    std::uint64_t offered, std::uint64_t completed,
-                                    std::uint64_t rejected, const LatencyRecorder& latencies,
-                                    std::uint64_t batches_delta,
-                                    std::uint64_t batched_requests_delta) const {
-  LoadReport report;
-  report.label = label;
-  report.duration_seconds = duration;
-  report.offered = offered;
-  report.completed = completed;
-  report.rejected = rejected;
-  report.qps = duration > 0 ? static_cast<double>(completed) / duration : 0.0;
-  fill_latency_fields(report, latencies);
-  report.mean_batch = batches_delta == 0 ? 0.0
-                                         : static_cast<double>(batched_requests_delta) /
-                                               static_cast<double>(batches_delta);
-  return report;
+  return static_cast<vid_t>(rng_.next_below(num_vertices_));
 }
 
 LoadReport TrafficGenerator::run_closed_loop(int num_clients, int requests_each) {
@@ -280,54 +317,54 @@ LoadReport TrafficGenerator::run_closed_loop(int num_clients, int requests_each)
   LatencyRecorder latencies;
   for (const LatencyRecorder& r : per_client) latencies += r;
 
-  const BackendStats after = server_.stats();
   const auto total = static_cast<std::uint64_t>(num_clients) *
                      static_cast<std::uint64_t>(requests_each);
-  return finish("closed(" + std::to_string(num_clients) + ")", duration, total, total, 0,
-                latencies, after.batches - before.batches,
-                after.batched_requests - before.batched_requests);
+  return make_report("closed(" + std::to_string(num_clients) + ")", duration, total, 0,
+                     latencies, before, server_.stats());
 }
 
 LoadReport TrafficGenerator::run_open_loop(const ArrivalConfig& arrivals,
-                                           std::size_t num_requests) {
+                                           std::size_t num_requests, const MetaSource& meta) {
   const std::vector<double> offsets = generate_arrivals(arrivals, num_requests);
   std::vector<vid_t> targets;
   targets.reserve(num_requests);
   for (std::size_t i = 0; i < num_requests; ++i) targets.push_back(random_vertex());
 
-  const BackendStats before = server_.stats();
-  LatencyRecorder latencies;
-  util::Mutex done_mutex;
-  util::CondVar done_cv;
-  std::size_t accounted = 0;
-  std::uint64_t rejected = 0;
-  const auto account = [&](bool was_rejected) {
-    util::MutexLock lock(done_mutex);
-    if (was_rejected) ++rejected;
-    ++accounted;
-    if (accounted == num_requests) done_cv.notify_all();
-  };
+  LoadReport report = run_open_loop_core(
+      server_, offsets, ServeClock::now(),
+      [&](std::size_t i, std::function<void(InferResult&&)> done) {
+        return server_.submit(targets[i], meta ? meta(i) : RequestMeta{}, std::move(done));
+      });
+  report.label = arrivals.process == ArrivalProcess::kPoisson ? "poisson" : "mmpp";
+  return report;
+}
 
-  const auto begin = ServeClock::now();
+LoadReport run_deadline_open_loop(ServingBackend& backend, const ArrivalConfig& arrivals,
+                                  std::size_t num_requests, double deadline_seconds,
+                                  double low_priority_fraction, std::uint64_t seed) {
+  const std::vector<double> offsets = generate_arrivals(arrivals, num_requests);
+  const auto num_vertices = static_cast<std::uint64_t>(backend.dataset().num_vertices());
+  Rng rng(seed);
+  std::vector<vid_t> targets;
+  std::vector<Priority> priorities;
+  targets.reserve(num_requests);
+  priorities.reserve(num_requests);
   for (std::size_t i = 0; i < num_requests; ++i) {
-    std::this_thread::sleep_until(begin + std::chrono::duration<double>(offsets[i]));
-    const bool accepted = server_.submit(targets[i], [&](InferResult&& result) {
-      latencies.record(result.latency_seconds);
-      account(false);
-    });
-    if (!accepted) account(true);
+    targets.push_back(static_cast<vid_t>(rng.next_below(num_vertices)));
+    priorities.push_back(rng.next_double() < low_priority_fraction ? Priority::kLow
+                                                                    : Priority::kHigh);
   }
-  {
-    util::MutexLock lock(done_mutex);
-    while (accounted != num_requests) done_cv.wait(lock);
-  }
-  const double duration = std::chrono::duration<double>(ServeClock::now() - begin).count();
 
-  const BackendStats after = server_.stats();
-  const std::string label =
-      arrivals.process == ArrivalProcess::kPoisson ? "poisson" : "mmpp";
-  return finish(label, duration, num_requests, num_requests - rejected, rejected, latencies,
-                after.batches - before.batches, after.batched_requests - before.batched_requests);
+  LoadReport report = run_open_loop_core(
+      backend, offsets, ServeClock::now(),
+      [&](std::size_t i, std::function<void(InferResult&&)> done) {
+        RequestMeta meta;
+        if (deadline_seconds > 0) meta.deadline = deadline_after(deadline_seconds);
+        meta.priority = priorities[i];
+        return backend.submit(targets[i], meta, std::move(done));
+      });
+  report.label = arrivals.process == ArrivalProcess::kPoisson ? "poisson" : "mmpp";
+  return report;
 }
 
 }  // namespace distgnn::serve

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -131,14 +132,35 @@ EmbedWorkloadReport run_embed_cache_workload(const Dataset& dataset,
                                              double zipf_s, std::uint64_t seed, int clients,
                                              int requests_per_client);
 
+/// Submits open-loop request `request` (false = not admitted; `done` then
+/// never runs).
+using OpenLoopSubmit =
+    std::function<bool(std::size_t request, std::function<void(InferResult&&)> done)>;
+
+/// The open-loop core every arrival-driven driver shares: request i goes
+/// through `submit` at begin + offsets[i] whether or not earlier requests
+/// have answered, then the call blocks until each one has answered or been
+/// rejected. Fills the report's counts, QPS and latency fields, and
+/// mean_batch from `backend`'s stats over the run; the label is the
+/// caller's.
+LoadReport run_open_loop_core(const ServingBackend& backend, std::span<const double> offsets,
+                              ServeClock::time_point begin, const OpenLoopSubmit& submit);
+
+/// Per-request admission metadata for an open-loop run, called with the
+/// request's index at its submit instant — so a relative deadline
+/// (deadline_after) starts when the request is offered.
+using MetaSource = std::function<RequestMeta(std::size_t request)>;
+
 class TrafficGenerator {
  public:
   /// Drives any ServingBackend — a single InferenceServer, a ShardedServer,
-  /// or a whole composed tier — through the uniform contract. Queries target
+  /// or a whole ReplicaGroup — through the uniform contract. Queries target
   /// random vertices of the backend's dataset, deterministically from
-  /// `seed`. `zipf_s` sets the popularity skew: 0 (default) is uniform;
-  /// s > 0 draws vertices Zipf(s)-distributed — rank-r popularity ∝ 1/r^s
-  /// over a shuffled vertex order — the repeat-query workload that exercises
+  /// `seed`. The vertex count is read once, here: construct the generator
+  /// before anything may swap the backend's graph. `zipf_s` sets the
+  /// popularity skew: 0 (default) is uniform; s > 0 draws vertices
+  /// Zipf(s)-distributed — rank-r popularity ∝ 1/r^s over a shuffled
+  /// vertex order — the repeat-query workload that exercises
   /// the serving embedding cache (real query traffic is heavy-tailed, like
   /// the MMPP arrival side).
   /// The rank -> vertex shuffle is seeded by `zipf_perm_seed`, separate from
@@ -152,19 +174,30 @@ class TrafficGenerator {
   LoadReport run_closed_loop(int num_clients, int requests_each);
 
   /// Submits `num_requests` at the configured arrival instants and waits for
-  /// the queue to drain. Requests bouncing off the full queue are rejections.
-  LoadReport run_open_loop(const ArrivalConfig& arrivals, std::size_t num_requests);
+  /// every answer. Requests the backend does not admit (a full queue, or
+  /// shed by admission control) are rejections; latencies cover admitted
+  /// requests only. `meta` supplies each request's deadline, priority and
+  /// tenant (empty = RequestMeta{}).
+  LoadReport run_open_loop(const ArrivalConfig& arrivals, std::size_t num_requests,
+                           const MetaSource& meta = {});
 
  private:
   vid_t random_vertex();
-  LoadReport finish(const std::string& label, double duration, std::uint64_t offered,
-                    std::uint64_t completed, std::uint64_t rejected,
-                    const LatencyRecorder& latencies, std::uint64_t batches_delta,
-                    std::uint64_t batched_requests_delta) const;
 
   ServingBackend& server_;
+  const std::uint64_t num_vertices_;
   Rng rng_;
   std::optional<ZipfSampler> zipf_;  // nullopt = uniform popularity
 };
+
+/// The admission workload of the replicated tiers (serve_demo and the
+/// replicated benches): `num_requests` open-loop arrivals, request i
+/// targeting a uniform vertex and marked Priority::kLow with probability
+/// `low_priority_fraction` — target then mark, both drawn from one
+/// Rng(seed), before the first submit — and carrying a deadline
+/// `deadline_seconds` after its submit instant (0 = none).
+LoadReport run_deadline_open_loop(ServingBackend& backend, const ArrivalConfig& arrivals,
+                                  std::size_t num_requests, double deadline_seconds,
+                                  double low_priority_fraction, std::uint64_t seed);
 
 }  // namespace distgnn::serve

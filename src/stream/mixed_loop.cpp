@@ -12,6 +12,10 @@ MixedLoopReport run_mixed_open_loop(serve::ServingBackend& backend, DeltaPublish
   using Clock = std::chrono::steady_clock;
   MixedLoopReport report;
 
+  // The reader reads the backend's vertex count at construction — before
+  // the writer below can be mid graph swap.
+  serve::TrafficGenerator reads(backend, config.read_seed, config.zipf_s);
+
   // Writer: replay the delta stream at its arrival instants. Pre-generated
   // offsets keep the write side deterministic in shape even though publish
   // durations vary run to run.
@@ -31,7 +35,6 @@ MixedLoopReport run_mixed_open_loop(serve::ServingBackend& backend, DeltaPublish
     }
   });
 
-  serve::TrafficGenerator reads(backend, config.read_seed, config.zipf_s);
   report.reads = reads.run_open_loop(config.reads, config.num_requests);
   writer.join();
 

@@ -1,8 +1,9 @@
 // The unified ServingBackend contract and the replicated x sharded
 // composition: ShardedServer as a long-lived backend (bitwise equality,
-// prefetch ring depths, per-rank embedding caches), ComposedTier's R x P
-// grid against a single server, Router policies over heterogeneous backend
-// mixes, and the SnapshotHolder publish-hook re-registration semantics.
+// prefetch ring depths, per-rank embedding caches), the composed tier's
+// R x P grid against a single server, placement policies over heterogeneous
+// backend mixes, and the SnapshotHolder publish-hook re-registration
+// semantics.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,12 +15,10 @@
 #include "graph/datasets.hpp"
 #include "partition/libra.hpp"
 #include "serve/backend.hpp"
-#include "serve/composed_tier.hpp"
 #include "serve/embed_cache.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_snapshot.hpp"
 #include "serve/replica_group.hpp"
-#include "serve/router.hpp"
 #include "serve/sharded_server.hpp"
 #include "util/sync.hpp"
 
@@ -223,7 +222,7 @@ TEST(ShardedServer, EmbedModeMatchesEvaluatorBitwiseAndHitsPerRankCaches) {
   EXPECT_GT(warm.children[1].embed_cache.accesses, 0u);
 }
 
-// ------------------------------------------------------------- ComposedTier
+// -------------------------------------------------------- composed tier
 
 TEST(ComposedTier, R2P2AnswersBitwiseEqualSingleServer) {
   const Dataset dataset = make_composed_dataset();
@@ -237,12 +236,12 @@ TEST(ComposedTier, R2P2AnswersBitwiseEqualSingleServer) {
   cfg.shard.max_batch = 4;
   cfg.shard.fanouts = {5, 5};
   cfg.shard.prefetch_depth = 2;
-  ComposedTier tier(dataset, partition, cfg);
+  ReplicaGroup tier(dataset, partition, cfg, RoutePolicy::kPowerOfTwo);
   tier.publish(snapshot);  // the broadcast_snapshot wire path
   tier.start();
 
   EXPECT_EQ(tier.num_replicas(), 2);
-  EXPECT_EQ(tier.num_shards(), 2);
+  EXPECT_EQ(tier.concurrency(), 4);  // R x P serving loops
   EXPECT_EQ(tier.version(), 1u);
   const auto results = tier.infer_batch(vertices);
   tier.stop();
@@ -268,14 +267,14 @@ TEST(ComposedTier, BroadcastPublishHotSwapsTheWholeGrid) {
   cfg.replicas = 2;
   cfg.shard.max_batch = 4;
   cfg.shard.fanouts = {5, 5};
-  ComposedTier tier(dataset, partition, cfg);
+  ReplicaGroup tier(dataset, partition, cfg, RoutePolicy::kPowerOfTwo);
   tier.publish(v1);
   tier.start();
   (void)tier.infer_batch(vertices);  // traffic on v1, then swap under load
   tier.publish(v2);
   EXPECT_EQ(tier.version(), 2u);
   for (int r = 0; r < tier.num_replicas(); ++r)
-    EXPECT_EQ(tier.group().replica(r).snapshot()->version(), 2u) << "replica " << r;
+    EXPECT_EQ(tier.replica(r).snapshot()->version(), 2u) << "replica " << r;
 
   const auto results = tier.infer_batch(vertices);
   tier.stop();
@@ -286,7 +285,7 @@ TEST(ComposedTier, BroadcastPublishHotSwapsTheWholeGrid) {
     // must still be bitwise those of the original v2 weights.
     EXPECT_EQ(results[i]->logits, expect_v2[i]) << "request " << i;
   }
-  EXPECT_EQ(tier.group().publishes(), 2u);
+  EXPECT_EQ(tier.publishes(), 2u);
 }
 
 TEST(ComposedTier, StatsAggregateAcrossTheGrid) {
@@ -297,7 +296,7 @@ TEST(ComposedTier, StatsAggregateAcrossTheGrid) {
   cfg.replicas = 2;
   cfg.shard.max_batch = 4;
   cfg.shard.fanouts = {5, 5};
-  ComposedTier tier(dataset, partition, cfg);
+  ReplicaGroup tier(dataset, partition, cfg, RoutePolicy::kPowerOfTwo);
   tier.publish(snapshot);
   tier.start();
   const std::vector<vid_t> vertices = probe_vertices(dataset, 32, 13);
@@ -316,7 +315,7 @@ TEST(ComposedTier, StatsAggregateAcrossTheGrid) {
 // --------------------------------------------- heterogeneous backend mixes
 
 /// Minimal out-of-library backend: one worker thread, configurable service
-/// time, logits = {vertex}. Exists to prove the Router needs nothing beyond
+/// time, logits = {vertex}. Exists to prove placement needs nothing beyond
 /// the ServingBackend contract — and, via set_paused(), to act as a backend
 /// whose queue verifiably never drains, so routing tests stay deterministic
 /// under arbitrary scheduler behaviour.
@@ -440,20 +439,22 @@ TEST(Router, PowerOfTwoAvoidsTheSlowBackendInAHeterogeneousMix) {
   // requests the slow member receives are the draws-with-replacement where
   // *both* p2c samples land on it (~1/4) plus initial ties.
   FakeBackend* members[2] = {nullptr, nullptr};
-  ReplicaGroup group(dataset, /*num_replicas=*/2, [&](int replica) {
-    auto backend = std::make_unique<FakeBackend>(dataset, std::chrono::microseconds(100));
-    members[replica] = backend.get();
-    return backend;
-  });
+  ReplicaGroup group(
+      dataset, /*num_replicas=*/2,
+      [&](int replica) {
+        auto backend = std::make_unique<FakeBackend>(dataset, std::chrono::microseconds(100));
+        members[replica] = backend.get();
+        return backend;
+      },
+      RoutePolicy::kPowerOfTwo);
   group.publish(ModelSnapshot::random(sage_spec(dataset), 1, 1));
   group.start();
   members[1]->set_paused(true);
-  Router router(group, RoutePolicy::kPowerOfTwo);
 
   std::atomic<int> done{0};
   const int total = 80;
   for (int i = 0; i < total; ++i) {
-    ASSERT_TRUE(router.submit(static_cast<vid_t>(i % dataset.num_vertices()),
+    ASSERT_TRUE(group.submit(static_cast<vid_t>(i % dataset.num_vertices()),
                               [&](InferResult&&) { done.fetch_add(1); }));
     while (members[0]->queue_depth() > 0) std::this_thread::yield();
   }
@@ -461,7 +462,7 @@ TEST(Router, PowerOfTwoAvoidsTheSlowBackendInAHeterogeneousMix) {
   while (done.load() < total) std::this_thread::yield();
   group.stop();
 
-  const RouterStats stats = router.stats();
+  const AdmissionStats stats = group.admission_stats();
   ASSERT_EQ(stats.admitted_per_replica.size(), 2u);
   EXPECT_EQ(stats.admitted_per_replica[0] + stats.admitted_per_replica[1],
             static_cast<std::uint64_t>(total));
@@ -483,7 +484,7 @@ TEST(ReplicaGroup, ActsAsAPlainServingBackendWithRoundRobinPlacement) {
   group.publish(snapshot);
   group.start();
 
-  ServingBackend& backend = group;  // no Router: the group's own placement
+  ServingBackend& backend = group;  // default placement and admission
   EXPECT_EQ(backend.infer_sync(vertices[0]).logits, expected[0]);
   const auto results = backend.infer_batch(vertices);
   backend.drain();

@@ -2,13 +2,14 @@
 // synthetic ScrapeSource with scripted counter/histogram sequences and a
 // ManualClock — tick() by hand, no background thread, no sleeps — so the
 // exact fire/resolve transition instants are pinned, not raced. The final
-// group exercises the real tower: a ModelRegistry over a ComposedTier
-// (R=2 x P=2) plus a DeltaPublisher, checking burn-rate, wedged-barrier and
+// group exercises the real tower: a ModelRegistry over a composed
+// ReplicaGroup (R=2 x P=2) plus a DeltaPublisher, checking burn-rate, wedged-barrier and
 // epoch-lag alerts end to end.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,10 +22,10 @@
 #include "obs/scrape.hpp"
 #include "obs/timeseries.hpp"
 #include "partition/libra.hpp"
-#include "serve/composed_tier.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/model_snapshot.hpp"
+#include "serve/replica_group.hpp"
 #include "stream/delta_publisher.hpp"
 #include "stream/graph_delta.hpp"
 
@@ -477,14 +478,14 @@ TEST(HealthMonitorCore, ScrapeAndJsonExposeRuleStates) {
 }
 
 // ---------------------------------------------------------------------------
-// End to end over the real tower: ModelRegistry over ComposedTier R=2 x P=2,
-// plus a DeltaPublisher for the freshness probe.
+// End to end over the real tower: ModelRegistry over a composed ReplicaGroup
+// R=2 x P=2, plus a DeltaPublisher for the freshness probe.
 
 struct TowerFixture {
   Dataset dataset;
   EdgePartition partition;
   ModelRegistry registry;
-  ComposedTier* tier = nullptr;  // owned by the registry
+  ReplicaGroup* tier = nullptr;  // owned by the registry
   tenant_t tenant = 0;
 
   explicit TowerFixture(double deadline_seconds) {
@@ -507,14 +508,16 @@ struct TowerFixture {
     cfg.replicas = 2;
     cfg.shard.max_batch = 4;
     cfg.shard.fanouts = {4, 4};
-    // The burn-rate test wants completions that *violate* the deadline, not
-    // sheds — so the tower must keep serving late requests.
-    cfg.admission.shed_deadlines = false;
     TenantSlo slo;
     slo.name = "alpha";
     slo.deadline_seconds = deadline_seconds;
     slo.slo_target = 0.999;
-    auto backend = std::make_unique<ComposedTier>(dataset, partition, cfg);
+    // The burn-rate test wants completions that *violate* the deadline, not
+    // sheds — so the tower must keep serving late requests.
+    AdmissionConfig admission;
+    admission.shed_deadlines = false;
+    auto backend = std::make_unique<ReplicaGroup>(dataset, partition, cfg,
+                                                  RoutePolicy::kPowerOfTwo, admission);
     tier = backend.get();
     tenant = registry.add(slo, std::move(backend));
     registry.publish(tenant, ModelSnapshot::random(spec, /*seed=*/3, /*version=*/1));
@@ -569,9 +572,12 @@ TEST(HealthTower, WedgedBarrierTripsWatchdog) {
   monitor.tick();
   EXPECT_TRUE(monitor.active().empty());
 
-  // Wedge the publish barrier: hold an admission slot open, then publish
-  // from another thread — the barrier closes and parks waiting for us.
-  fx.tier->group().begin_requests(1);
+  // Wedge the publish barrier: hold an admission slot open (a request whose
+  // reply callback parks until released), then publish from another
+  // thread — the barrier closes and parks waiting for us.
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  ASSERT_TRUE(fx.tier->submit(0, [released](InferResult&&) { released.wait(); }));
   ModelSpec spec;
   spec.feature_dim = fx.dataset.feature_dim();
   spec.hidden_dim = 8;
@@ -579,7 +585,7 @@ TEST(HealthTower, WedgedBarrierTripsWatchdog) {
   spec.num_layers = 2;
   auto snapshot = ModelSnapshot::random(spec, /*seed=*/4, /*version=*/2);
   std::thread publisher([&] { fx.tier->publish(std::move(snapshot)); });
-  while (!fx.tier->group().publishing()) std::this_thread::yield();
+  while (!fx.tier->publishing()) std::this_thread::yield();
 
   clock->set(0.1);
   monitor.tick();  // barrier observed closed; watchdog timer starts
@@ -593,7 +599,7 @@ TEST(HealthTower, WedgedBarrierTripsWatchdog) {
     EXPECT_EQ(stuck[0].severity, obs::Severity::kCritical);
   }
 
-  fx.tier->group().end_request();  // release the wedge
+  release.set_value();  // release the wedge
   publisher.join();
   clock->set(1.0);
   monitor.tick();

@@ -14,7 +14,6 @@
 #include "obs/scrape.hpp"
 #include "obs/trace.hpp"
 #include "partition/libra.hpp"
-#include "serve/composed_tier.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/model_snapshot.hpp"
@@ -481,7 +480,9 @@ TEST(ObsTenantFold, SyntheticStrictAndEdgeModes) {
   EXPECT_FALSE(bad.detail.empty());
 }
 
-TEST(ObsTenantFold, LiveReplicaGroupIsStrictlyConsistent) {
+/// Stats of a live 2-replica group after one 40-request batch under
+/// `tenant`, drained so every lane is final.
+BackendStats live_group_stats(AdmissionConfig admission, tenant_t tenant) {
   LearnableSbmParams params;
   params.num_vertices = 256;
   params.num_classes = 4;
@@ -499,25 +500,54 @@ TEST(ObsTenantFold, LiveReplicaGroupIsStrictlyConsistent) {
   cfg.num_workers = 1;
   cfg.max_batch = 4;
   cfg.fanouts = {4, 4};
-  ReplicaGroup group(dataset, cfg, /*replicas=*/2);
+  ReplicaGroup group(dataset, cfg, /*replicas=*/2, RoutePolicy::kRoundRobin,
+                     std::move(admission));
   group.publish(ModelSnapshot::random(spec, /*seed=*/1, /*version=*/1));
   group.start();
   std::vector<vid_t> vertices;
   for (vid_t v = 0; v < 40; ++v) vertices.push_back(v % 256);
   RequestMeta meta;
-  meta.tenant = 1;
+  meta.tenant = tenant;
   (void)group.infer_batch(vertices, meta);
   group.drain();
   BackendStats stats = group.stats();
   group.stop();
-  const TenantFoldReport report = check_tenant_fold(stats, /*edge_authoritative=*/false);
+  return stats;
+}
+
+TEST(ObsTenantFold, LiveReplicaGroupIsStrictlyConsistent) {
+  // A plain group's lanes exist only through absorb(): strict fold.
+  BackendStats plain = live_group_stats(AdmissionConfig{}, /*tenant=*/1);
+  const TenantFoldReport report = check_tenant_fold(plain, /*edge_authoritative=*/false);
   EXPECT_TRUE(report.consistent) << report.detail;
-  EXPECT_EQ(stats.tenant_lane(1).completed, 40u);
+  EXPECT_EQ(plain.tenant_lane(1).completed, 40u);
+
+  // A tenant-mode group's lanes are its own edge accounting: tenant 1's
+  // budget sheds most of the batch before any replica sees it, so the
+  // edge's submitted/shed dominate the replicas' fold while completed still
+  // matches it exactly.
+  AdmissionConfig admission;
+  TenantSlo open;
+  open.name = "open";
+  TenantSlo capped;
+  capped.name = "capped";
+  capped.rate_limit = 1.0;  // one token a second: the burst is all it gets
+  capped.burst = 10;
+  admission.tenants = {open, capped};
+  BackendStats lanes = live_group_stats(std::move(admission), /*tenant=*/1);
+  const TenantFoldReport edge = check_tenant_fold(lanes, /*edge_authoritative=*/true);
+  EXPECT_TRUE(edge.consistent) << edge.detail;
+  EXPECT_FALSE(check_tenant_fold(lanes, /*edge_authoritative=*/false).consistent);
+  const TenantCounters& lane = lanes.tenant_lane(1);
+  EXPECT_EQ(lane.submitted, 40u);
+  EXPECT_GT(lane.shed, 0u);
+  EXPECT_GT(lane.completed, 0u);
+  EXPECT_EQ(lane.completed + lane.shed, 40u);
 }
 
 // ---------------------------------------------------------------------------
 // The acceptance walk: one scrape of a ModelRegistry whose tenants sit on an
-// R x P ComposedTier yields per-tenant stage histograms — admit, queue,
+// R x P composed ReplicaGroup yields per-tenant stage histograms — admit, queue,
 // sample, halo_wait, forward — in valid Prometheus text.
 
 TEST(ObsScrape, RegistryOverComposedTierExposesAllStages) {
@@ -547,7 +577,8 @@ TEST(ObsScrape, RegistryOverComposedTierExposesAllStages) {
     TenantSlo slo;
     slo.name = name;
     tenants.push_back(
-        registry.add(slo, std::make_unique<ComposedTier>(dataset, partition, cfg)));
+        registry.add(slo, std::make_unique<ReplicaGroup>(dataset, partition, cfg,
+                                                         RoutePolicy::kPowerOfTwo)));
   }
   for (const tenant_t t : tenants) registry.publish(t, snapshot);
   registry.start();

@@ -19,7 +19,6 @@
 #include "serve/model_registry.hpp"
 #include "serve/model_snapshot.hpp"
 #include "serve/replica_group.hpp"
-#include "serve/router.hpp"
 
 namespace distgnn {
 namespace {
@@ -192,10 +191,6 @@ TEST(ModelRegistry, HotSwapOfOneTenantLeavesNeighbourBitwiseStable) {
 
 TEST(Router, WeightedFairSharesConvergeToSloWeightsUnderSaturation) {
   const Dataset dataset = make_homo_dataset();
-  ReplicaGroup group(dataset, small_config(), /*num_replicas=*/1);
-  group.publish(ModelSnapshot::random(sage_spec(dataset), 1, 1));
-  group.start();
-
   AdmissionConfig admission;
   admission.shed_deadlines = false;
   admission.low_priority_depth = 0;  // fairness only — nothing sheds
@@ -207,29 +202,32 @@ TEST(Router, WeightedFairSharesConvergeToSloWeightsUnderSaturation) {
   light.weight = 1.0;
   admission.tenants = {heavy, light};
   admission.dispatch_window = 2;  // force staging so WRR decides the order
-  Router router(group, RoutePolicy::kRoundRobin, admission);
-  ASSERT_TRUE(router.tenant_mode());
+  ReplicaGroup group(dataset, small_config(), /*num_replicas=*/1, RoutePolicy::kRoundRobin,
+                     admission);
+  ASSERT_TRUE(group.tenant_mode());
+  group.publish(ModelSnapshot::random(sage_spec(dataset), 1, 1));
+  group.start();
 
   // Both tenants offer far above capacity; while both lanes are backlogged
   // the dispatch shares follow the 2:1 weights. Sample the lanes the moment
   // the heavy stream finishes (the light lane is still saturated then).
   const std::size_t n = 240;
-  const auto make_load = [&](tenant_t tenant, std::uint64_t seed) {
-    RouterLoadConfig load;
-    load.arrivals.process = ArrivalProcess::kPoisson;
-    load.arrivals.rate = 50000.0;  // >> capacity: arrival pacing is a non-factor
-    load.arrivals.seed = seed;
-    load.num_requests = n;
-    load.seed = seed;
-    load.tenant = tenant;
-    return load;
+  const auto run_stream = [&](tenant_t tenant, std::uint64_t seed) {
+    ArrivalConfig arrivals;
+    arrivals.process = ArrivalProcess::kPoisson;
+    arrivals.rate = 50000.0;  // >> capacity: arrival pacing is a non-factor
+    arrivals.seed = seed;
+    TrafficGenerator traffic(group, seed);
+    (void)traffic.run_open_loop(arrivals, n, [tenant](std::size_t) {
+      return RequestMeta{.tenant = tenant};
+    });
   };
-  RouterStats at_heavy_done;
+  AdmissionStats at_heavy_done;
   std::thread heavy_thread([&] {
-    (void)run_router_open_loop(router, make_load(0, 11));
-    at_heavy_done = router.stats();
+    run_stream(0, 11);
+    at_heavy_done = group.admission_stats();
   });
-  (void)run_router_open_loop(router, make_load(1, 13));
+  run_stream(1, 13);
   heavy_thread.join();
   group.stop();
 
@@ -241,7 +239,7 @@ TEST(Router, WeightedFairSharesConvergeToSloWeightsUnderSaturation) {
   EXPECT_GE(ratio, 1.4) << "heavy " << served_heavy << " light " << served_light;
   EXPECT_LE(ratio, 3.0) << "heavy " << served_heavy << " light " << served_light;
   // Nothing shed: fairness reorders, it never drops.
-  EXPECT_EQ(router.stats().shed(), 0u);
+  EXPECT_EQ(group.admission_stats().shed(), 0u);
 }
 
 TEST(ModelRegistry, BudgetShedsTheBurstingTenantOnly) {

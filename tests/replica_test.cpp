@@ -1,6 +1,7 @@
 // Replicated serving tier: bitwise equivalence with single-server answers,
-// version-barriered group publication, routing policy behaviour, deadline /
-// priority admission control, and the MMPP shed-vs-no-shed tail comparison.
+// version-barriered group publication, placement policy behaviour, deadline /
+// priority admission control, the MMPP shed-vs-no-shed tail comparison, and
+// range checks that never read a graph being swapped.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,8 +14,8 @@
 #include "serve/inference_server.hpp"
 #include "serve/model_snapshot.hpp"
 #include "serve/replica_group.hpp"
-#include "serve/router.hpp"
 #include "serve/traffic_gen.hpp"
+#include "util/rng.hpp"
 
 namespace distgnn {
 namespace {
@@ -69,15 +70,14 @@ TEST(ReplicaGroup, RouterAnswersAreBitwiseEqualToSingleServer) {
 
   for (const RoutePolicy policy :
        {RoutePolicy::kRoundRobin, RoutePolicy::kLeastOutstanding, RoutePolicy::kPowerOfTwo}) {
-    ReplicaGroup group(dataset, cfg, /*num_replicas=*/3);
+    ReplicaGroup group(dataset, cfg, /*num_replicas=*/3, policy);
     group.publish(snapshot);
     group.start();
-    Router router(group, policy);
-    const auto results = router.infer_batch(vertices);
+    const auto results = group.infer_batch(vertices);
     group.stop();
 
     ASSERT_EQ(results.size(), vertices.size());
-    const RouterStats stats = router.stats();
+    const AdmissionStats stats = group.admission_stats();
     EXPECT_EQ(stats.admitted, vertices.size());  // no deadlines -> nothing shed
     EXPECT_EQ(stats.shed(), 0u);
     for (std::size_t i = 0; i < vertices.size(); ++i) {
@@ -115,10 +115,9 @@ TEST(ReplicaGroup, VersionBarrierNeverMixesVersionsWithinABatch) {
 
   ServeConfig cfg = replica_config();
   cfg.num_workers = 2;
-  ReplicaGroup group(dataset, cfg, 2);
+  ReplicaGroup group(dataset, cfg, 2, RoutePolicy::kRoundRobin);
   group.publish(snap_a);
   group.start();
-  Router router(group, RoutePolicy::kRoundRobin);
 
   std::atomic<int> mixed_batches{0};
   std::atomic<bool> publishing{true};
@@ -138,7 +137,7 @@ TEST(ReplicaGroup, VersionBarrierNeverMixesVersionsWithinABatch) {
         batch.push_back((static_cast<vid_t>(c) * 131 + i * 17) %
                         static_cast<vid_t>(dataset.num_vertices()));
       for (int iter = 0; iter < 20; ++iter) {
-        const auto results = router.infer_batch(batch);
+        const auto results = group.infer_batch(batch);
         std::uint64_t version = 0;
         bool mixed = false;
         for (const auto& r : results) {
@@ -172,17 +171,16 @@ TEST(Router, ParsePolicyNamesAndRejectTypos) {
 TEST(Router, RoundRobinSpreadsExactlyEvenly) {
   const Dataset dataset = make_replica_dataset();
   const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1);
-  ReplicaGroup group(dataset, replica_config(), 3);
+  ReplicaGroup group(dataset, replica_config(), 3, RoutePolicy::kRoundRobin);
   group.publish(snapshot);
   group.start();
-  Router router(group, RoutePolicy::kRoundRobin);
 
   std::vector<vid_t> vertices(30);
   for (std::size_t i = 0; i < vertices.size(); ++i) vertices[i] = static_cast<vid_t>(i);
-  (void)router.infer_batch(vertices);
+  (void)group.infer_batch(vertices);
   group.stop();
 
-  const RouterStats stats = router.stats();
+  const AdmissionStats stats = group.admission_stats();
   ASSERT_EQ(stats.admitted_per_replica.size(), 3u);
   for (const std::uint64_t n : stats.admitted_per_replica) EXPECT_EQ(n, 10u);
 }
@@ -192,17 +190,16 @@ TEST(Router, DepthAwarePoliciesUseEveryReplica) {
   const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1);
   for (const RoutePolicy policy :
        {RoutePolicy::kLeastOutstanding, RoutePolicy::kPowerOfTwo}) {
-    ReplicaGroup group(dataset, replica_config(), 3);
+    ReplicaGroup group(dataset, replica_config(), 3, policy);
     group.publish(snapshot);
     group.start();
-    Router router(group, policy);
     std::vector<vid_t> vertices(120);
     for (std::size_t i = 0; i < vertices.size(); ++i)
       vertices[i] = static_cast<vid_t>((i * 13) % dataset.num_vertices());
-    (void)router.infer_batch(vertices);
+    (void)group.infer_batch(vertices);
     group.stop();
 
-    const RouterStats stats = router.stats();
+    const AdmissionStats stats = group.admission_stats();
     std::uint64_t total = 0;
     for (const std::uint64_t n : stats.admitted_per_replica) {
       EXPECT_GT(n, 0u) << route_policy_name(policy);
@@ -217,18 +214,17 @@ TEST(Router, OutOfRangeVertexThrowsWithoutWedgingPublish) {
   const ModelSpec spec = sage_spec(dataset);
   const auto v1 = ModelSnapshot::random(spec, /*seed=*/1, /*version=*/1);
   const auto v2 = ModelSnapshot::random(spec, /*seed=*/2, /*version=*/2);
-  ReplicaGroup group(dataset, replica_config(), 2);
+  ReplicaGroup group(dataset, replica_config(), 2, RoutePolicy::kLeastOutstanding);
   group.publish(v1);
   group.start();
-  Router router(group, RoutePolicy::kLeastOutstanding);
 
-  EXPECT_THROW(router.submit(dataset.num_vertices(), [](InferResult&&) {}), std::out_of_range);
-  EXPECT_THROW(router.infer_batch(std::vector<vid_t>{0, -1}), std::out_of_range);
+  EXPECT_THROW(group.submit(dataset.num_vertices(), [](InferResult&&) {}), std::out_of_range);
+  EXPECT_THROW(group.infer_batch(std::vector<vid_t>{0, -1}), std::out_of_range);
 
   // A leaked admission slot would deadlock this publish forever.
   group.publish(v2);
   EXPECT_EQ(group.version(), 2u);
-  const auto results = router.infer_batch(std::vector<vid_t>{3, 4});
+  const auto results = group.infer_batch(std::vector<vid_t>{3, 4});
   group.stop();
   for (const auto& r : results) {
     ASSERT_TRUE(r.has_value());
@@ -239,17 +235,16 @@ TEST(Router, OutOfRangeVertexThrowsWithoutWedgingPublish) {
 TEST(Router, StatsSinceSubtractsWarmupBaseline) {
   const Dataset dataset = make_replica_dataset();
   const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1);
-  ReplicaGroup group(dataset, replica_config(), 2);
+  ReplicaGroup group(dataset, replica_config(), 2, RoutePolicy::kRoundRobin);
   group.publish(snapshot);
   group.start();
-  Router router(group, RoutePolicy::kRoundRobin);
 
-  (void)router.infer_batch(std::vector<vid_t>{1, 2, 3});
-  const RouterStats warmed = router.stats();
-  (void)router.infer_batch(std::vector<vid_t>{4, 5, 6, 7});
+  (void)group.infer_batch(std::vector<vid_t>{1, 2, 3});
+  const AdmissionStats warmed = group.admission_stats();
+  (void)group.infer_batch(std::vector<vid_t>{4, 5, 6, 7});
   group.stop();
 
-  const RouterStats delta = router.stats().since(warmed);
+  const AdmissionStats delta = group.admission_stats().since(warmed);
   EXPECT_EQ(delta.submitted, 4u);
   EXPECT_EQ(delta.admitted, 4u);
   EXPECT_EQ(delta.completed, 4u);
@@ -263,15 +258,14 @@ TEST(Router, StatsSinceSubtractsWarmupBaseline) {
 TEST(Admission, ExpiredDeadlineIsAlwaysShed) {
   const Dataset dataset = make_replica_dataset();
   const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1);
-  ReplicaGroup group(dataset, replica_config(), 2);
+  ReplicaGroup group(dataset, replica_config(), 2, RoutePolicy::kRoundRobin);
   group.publish(snapshot);
   group.start();
-  Router router(group, RoutePolicy::kRoundRobin);
 
   const auto expired = ServeClock::now() - std::chrono::milliseconds(1);
-  EXPECT_FALSE(router.submit(0, expired, Priority::kHigh, [](InferResult&&) { FAIL(); }));
+  EXPECT_FALSE(group.submit(0, RequestMeta{.deadline = expired}, [](InferResult&&) { FAIL(); }));
   group.stop();
-  const RouterStats stats = router.stats();
+  const AdmissionStats stats = group.admission_stats();
   EXPECT_EQ(stats.shed_deadline, 1u);
   EXPECT_EQ(stats.admitted, 0u);
 }
@@ -279,23 +273,22 @@ TEST(Admission, ExpiredDeadlineIsAlwaysShed) {
 TEST(Admission, IdleGroupAdmitsGenerousDeadlinesAndNoDeadlineIsNeverShed) {
   const Dataset dataset = make_replica_dataset();
   const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1);
-  ReplicaGroup group(dataset, replica_config(), 2);
+  ReplicaGroup group(dataset, replica_config(), 2, RoutePolicy::kLeastOutstanding);
   group.publish(snapshot);
   group.start();
-  Router router(group, RoutePolicy::kLeastOutstanding);
 
   // Warm the service-rate estimate so the deadline path actually evaluates.
   std::vector<vid_t> warmup(16);
   for (std::size_t i = 0; i < warmup.size(); ++i) warmup[i] = static_cast<vid_t>(i * 7);
-  (void)router.infer_batch(warmup);
+  (void)group.infer_batch(warmup);
 
   const auto generous = ServeClock::now() + std::chrono::seconds(30);
   const auto results =
-      router.infer_batch(std::vector<vid_t>{1, 2, 3, 4}, generous, Priority::kHigh);
+      group.infer_batch(std::vector<vid_t>{1, 2, 3, 4}, RequestMeta{.deadline = generous});
   for (const auto& r : results) EXPECT_TRUE(r.has_value());
-  (void)router.infer_batch(std::vector<vid_t>{5, 6});  // no deadline
+  (void)group.infer_batch(std::vector<vid_t>{5, 6});  // no deadline
   group.stop();
-  EXPECT_EQ(router.stats().shed(), 0u);
+  EXPECT_EQ(group.admission_stats().shed(), 0u);
 }
 
 TEST(Admission, BacklogShedsOnlyUnmeetableDeadlines) {
@@ -303,15 +296,14 @@ TEST(Admission, BacklogShedsOnlyUnmeetableDeadlines) {
   const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1);
   ServeConfig cfg = replica_config();
   cfg.fanouts = {10, 10};  // heavier service so the backlog estimate is solid
-  ReplicaGroup group(dataset, cfg, 1);
+  ReplicaGroup group(dataset, cfg, 1, RoutePolicy::kRoundRobin);
   group.publish(snapshot);
   group.start();
-  Router router(group, RoutePolicy::kRoundRobin);
 
   std::vector<vid_t> warmup(32);
   for (std::size_t i = 0; i < warmup.size(); ++i)
     warmup[i] = static_cast<vid_t>((i * 13) % dataset.num_vertices());
-  (void)router.infer_batch(warmup);
+  (void)group.infer_batch(warmup);
   const double svc = group.replica(0).mean_service_seconds();
   ASSERT_GT(svc, 0.0);
 
@@ -320,22 +312,22 @@ TEST(Admission, BacklogShedsOnlyUnmeetableDeadlines) {
   std::atomic<int> drained{0};
   const int backlog = 400;
   for (int i = 0; i < backlog; ++i)
-    ASSERT_TRUE(router.submit(static_cast<vid_t>(i % dataset.num_vertices()),
+    ASSERT_TRUE(group.submit(static_cast<vid_t>(i % dataset.num_vertices()),
                               [&](InferResult&&) { drained.fetch_add(1); }));
 
   const auto tight = ServeClock::now() +
                      std::chrono::duration_cast<ServeClock::duration>(
                          std::chrono::duration<double>(svc * 4));  // << backlog drain time
-  EXPECT_FALSE(router.submit(7, tight, Priority::kHigh, [](InferResult&&) { FAIL(); }));
+  EXPECT_FALSE(group.submit(7, RequestMeta{.deadline = tight}, [](InferResult&&) { FAIL(); }));
 
   std::atomic<bool> generous_done{false};
   const auto generous = ServeClock::now() + std::chrono::seconds(60);
-  EXPECT_TRUE(router.submit(7, generous, Priority::kHigh,
+  EXPECT_TRUE(group.submit(7, RequestMeta{.deadline = generous},
                             [&](InferResult&&) { generous_done.store(true); }));
 
   while (drained.load() < backlog || !generous_done.load()) std::this_thread::yield();
   group.stop();
-  const RouterStats stats = router.stats();
+  const AdmissionStats stats = group.admission_stats();
   EXPECT_EQ(stats.shed_deadline, 1u);
   EXPECT_EQ(stats.shed_queue_full, 0u);
 }
@@ -347,27 +339,26 @@ TEST(Admission, LowPriorityShedsFirstUnderBacklog) {
   cfg.fanouts = {10, 10};
   AdmissionConfig admission;
   admission.low_priority_depth = 32;
-  ReplicaGroup group(dataset, cfg, 1);
+  ReplicaGroup group(dataset, cfg, 1, RoutePolicy::kRoundRobin, admission);
   group.publish(snapshot);
   group.start();
-  Router router(group, RoutePolicy::kRoundRobin, admission);
 
   std::atomic<int> drained{0};
   const int backlog = 300;  // far past the low-priority watermark
   for (int i = 0; i < backlog; ++i)
-    ASSERT_TRUE(router.submit(static_cast<vid_t>(i % dataset.num_vertices()),
+    ASSERT_TRUE(group.submit(static_cast<vid_t>(i % dataset.num_vertices()),
                               [&](InferResult&&) { drained.fetch_add(1); }));
 
   // Same instant, same vertex: the low lane sheds, the high lane does not.
-  EXPECT_FALSE(router.submit(9, ServeClock::time_point::max(), Priority::kLow,
+  EXPECT_FALSE(group.submit(9, RequestMeta{.priority = Priority::kLow},
                              [](InferResult&&) { FAIL(); }));
   std::atomic<bool> high_done{false};
-  EXPECT_TRUE(router.submit(9, ServeClock::time_point::max(), Priority::kHigh,
+  EXPECT_TRUE(group.submit(9, RequestMeta{.priority = Priority::kHigh},
                             [&](InferResult&&) { high_done.store(true); }));
 
   while (drained.load() < backlog || !high_done.load()) std::this_thread::yield();
   group.stop();
-  const RouterStats stats = router.stats();
+  const AdmissionStats stats = group.admission_stats();
   EXPECT_EQ(stats.shed_priority, 1u);
   EXPECT_EQ(stats.shed_deadline, 0u);
 }
@@ -425,37 +416,38 @@ TEST(Admission, SheddingLowersAdmittedTailUnderMmppOverload) {
   // offer a 2-state MMPP whose burst state is ~8x capacity — the same
   // arrival sequence (same seed/rates) drives both runs.
   const auto run = [&](bool shed) {
-    ReplicaGroup group(dataset, cfg, /*num_replicas=*/2);
-    group.publish(snapshot);
-    group.start();
     AdmissionConfig admission;
     admission.shed_deadlines = shed;
     admission.low_priority_depth = 0;  // isolate the deadline dimension
-    Router router(group, RoutePolicy::kPowerOfTwo, admission);
+    ReplicaGroup group(dataset, cfg, /*num_replicas=*/2, RoutePolicy::kPowerOfTwo, admission);
+    group.publish(snapshot);
+    group.start();
 
     std::vector<vid_t> warmup(64);
     for (std::size_t i = 0; i < warmup.size(); ++i)
       warmup[i] = static_cast<vid_t>((i * 13) % dataset.num_vertices());
-    (void)router.infer_batch(warmup);
+    (void)group.infer_batch(warmup);
     double svc = 0;
     for (int r = 0; r < group.num_replicas(); ++r)
       svc = std::max(svc, group.replica(r).mean_service_seconds());
     if (svc <= 0) svc = 100e-6;
     const double capacity = static_cast<double>(group.num_replicas()) / svc;
 
-    RouterLoadConfig load;
-    load.arrivals.process = ArrivalProcess::kMmpp;
-    load.arrivals.mmpp_rate0 = 0.5 * capacity;
-    load.arrivals.mmpp_rate1 = 8.0 * capacity;
-    load.arrivals.mmpp_hold0 = 0.005;
-    load.arrivals.mmpp_hold1 = 0.004;
-    load.arrivals.seed = 17;
-    load.num_requests = 2000;
-    load.deadline_seconds = 40 * svc;
-    const LoadReport report = run_router_open_loop(router, load);
-    const RouterStats stats = router.stats();
+    ArrivalConfig arrivals;
+    arrivals.process = ArrivalProcess::kMmpp;
+    arrivals.mmpp_rate0 = 0.5 * capacity;
+    arrivals.mmpp_rate1 = 8.0 * capacity;
+    arrivals.mmpp_hold0 = 0.005;
+    arrivals.mmpp_hold1 = 0.004;
+    arrivals.seed = 17;
+    TrafficGenerator traffic(group, /*seed=*/5);
+    const LoadReport report =
+        traffic.run_open_loop(arrivals, /*num_requests=*/2000, [&](std::size_t) {
+          return RequestMeta{.deadline = deadline_after(40 * svc)};
+        });
+    const AdmissionStats stats = group.admission_stats();
     group.stop();
-    return std::pair<LoadReport, RouterStats>(report, stats);
+    return std::pair<LoadReport, AdmissionStats>(report, stats);
   };
 
   const auto [with_shed, with_stats] = run(true);
@@ -476,13 +468,12 @@ TEST(Admission, SheddingLowersAdmittedTailUnderMmppOverload) {
 TEST(ReplicaGroup, AggregatedStatsCountServiceTimeAndCompletions) {
   const Dataset dataset = make_replica_dataset();
   const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1);
-  ReplicaGroup group(dataset, replica_config(), 2);
+  ReplicaGroup group(dataset, replica_config(), 2, RoutePolicy::kRoundRobin);
   group.publish(snapshot);
   group.start();
-  Router router(group, RoutePolicy::kRoundRobin);
   std::vector<vid_t> vertices(20);
   for (std::size_t i = 0; i < vertices.size(); ++i) vertices[i] = static_cast<vid_t>(i * 11);
-  (void)router.infer_batch(vertices);
+  (void)group.infer_batch(vertices);
   group.stop();
 
   const BackendStats stats = group.stats();
@@ -493,7 +484,53 @@ TEST(ReplicaGroup, AggregatedStatsCountServiceTimeAndCompletions) {
     EXPECT_GT(s.mean_service_seconds(), 0.0);
     EXPECT_EQ(s.queue_depth, 0u);  // drained
   }
-  EXPECT_EQ(router.stats().completed, vertices.size());
+  EXPECT_EQ(group.admission_stats().completed, vertices.size());
+}
+
+// ------------------------------------------------------ graph-swap race
+
+TEST(ReplicaGroup, GraphSwapUnderLiveSubmitsIsRaceFree) {
+  // Submitters range-check their vertex while a writer move-assigns the
+  // shared graph under the group's barrier — the DeltaPublisher pattern.
+  // The range check must not read the graph being swapped (ThreadSanitizer
+  // flags it when it does).
+  Dataset dataset = make_replica_dataset();
+  const Graph pristine = dataset.graph;
+  const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1);
+  ReplicaGroup group(dataset, replica_config(), /*num_replicas=*/2);
+  group.publish(snapshot);
+  group.start();
+
+  const auto n = static_cast<std::uint64_t>(dataset.num_vertices());  // before any swap
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> served{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(0x5eed + static_cast<std::uint64_t>(t));
+      while (!stop.load(std::memory_order_acquire)) {
+        const InferResult result = group.infer_sync(static_cast<vid_t>(rng.next_below(n)));
+        EXPECT_EQ(result.snapshot_version, 1u);
+        served.fetch_add(1);
+      }
+    });
+  }
+  while (served.load() == 0) std::this_thread::yield();
+
+  for (int i = 0; i < 20; ++i) {
+    Graph fresh = pristine;
+    (void)fresh.in_csr();  // build the CSRs outside the barrier, as a publisher does
+    (void)fresh.out_csr();
+    GraphUpdateNotice notice;
+    notice.epoch = static_cast<std::uint64_t>(i + 1);
+    group.apply_graph_update([&] { dataset.graph = std::move(fresh); }, notice);
+  }
+  const std::uint64_t before_stop = served.load();
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  group.stop();
+  EXPECT_GT(before_stop, 0u);
+  EXPECT_EQ(group.graph_epoch(), 20u);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // bitwise-equality property: a server that streamed K deltas under live
 // read traffic answers identically to a cold server built over the final
 // graph, at every tier (single server classic + embed, ShardedServer P=2,
-// ComposedTier R=2 x P=2).
+// the composed ReplicaGroup R=2 x P=2).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,10 +17,10 @@
 #include "graph/datasets.hpp"
 #include "partition/libra.hpp"
 #include "serve/backend.hpp"
-#include "serve/composed_tier.hpp"
 #include "serve/embed_cache.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_snapshot.hpp"
+#include "serve/replica_group.hpp"
 #include "serve/sharded_server.hpp"
 #include "stream/delta_publisher.hpp"
 #include "stream/graph_delta.hpp"
@@ -404,7 +404,7 @@ TEST(StreamServing, ComposedTierBitwiseEqualAfterDeltas) {
   cfg.replicas = 2;
   cfg.shard.max_batch = 4;
   cfg.shard.fanouts = {5, 5};
-  ComposedTier live(live_data, partition, cfg);
+  ReplicaGroup live(live_data, partition, cfg, RoutePolicy::kPowerOfTwo);
   live.publish(snapshot);
   live.start();
   DeltaPublisher publisher(live_data, live, {}, &partition);

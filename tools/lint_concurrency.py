@@ -71,7 +71,6 @@ RELAXED_ORDER_ALLOWLIST = {
     "src/serve/model_registry.cpp",
     "src/serve/replica_group.cpp",
     "src/serve/request_lifecycle.cpp",
-    "src/serve/router.cpp",
     "src/util/log.cpp",
     # Test-side monotonic tallies (hit/served counters folded after join).
     "tests/embed_cache_test.cpp",
