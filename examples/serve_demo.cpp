@@ -22,7 +22,7 @@
 // policy and deadline-aware admission control, driven by the same arrival
 // process at the same rate. The final stage composes both scaling axes — a
 // ReplicaGroup of --replicas ShardedServers over --shards vertex-cut shards
-// each — publishes through the broadcast wire path, checks a probe batch
+// each — publishes one shared snapshot to every replica, checks a probe batch
 // bitwise against the single server, and drives the same arrival process
 // through the grid ("composed summary:" line).
 //
@@ -237,7 +237,7 @@ int run_demo(const Options& opts) {
 
   // 7. Composed tier: both scaling axes at once — R ShardedServer replicas
   //    over P vertex-cut shards, behind the same placement policy and
-  //    admission control, published through the broadcast wire path. A probe
+  //    admission control, published as one shared snapshot. A probe
   //    batch is checked bitwise against the single server's answers before
   //    the open-loop run.
   const int shards = std::max(1, static_cast<int>(opts.get_int("shards", 2)));
@@ -252,7 +252,7 @@ int run_demo(const Options& opts) {
   composed_cfg.shard.queue_capacity = serve_cfg.queue_capacity;
   composed_cfg.shard.prefetch_depth = 2;
   ReplicaGroup tier(dataset, partition, composed_cfg, policy, admission);
-  tier.publish(server.snapshot());  // v2, through the broadcast wire path
+  tier.publish(server.snapshot());  // v2, shared by every replica
   tier.start();
   std::printf("composed tier: %d replicas x %d shards (%d serving ranks), %s routing, "
               "grid version %llu\n",

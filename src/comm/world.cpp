@@ -113,18 +113,6 @@ void Communicator::broadcast(std::span<real_t> data, int root) {
   world_.barrier_wait();
 }
 
-void Communicator::broadcast_v(std::vector<real_t>& data, int root) {
-  const auto sizes = allgather(static_cast<std::int64_t>(data.size()));
-  data.resize(static_cast<std::size_t>(sizes[static_cast<std::size_t>(root)]));
-  broadcast(std::span<real_t>(data), root);
-  if (rank_ == root) {
-    // Count the fan-out the way send() would: one copy per receiving rank.
-    auto& st = world_.stats_[static_cast<std::size_t>(rank_)];
-    st.messages_sent += static_cast<std::uint64_t>(size() - 1);
-    st.bytes_sent += static_cast<std::uint64_t>(size() - 1) * data.size() * sizeof(real_t);
-  }
-}
-
 std::vector<std::int64_t> Communicator::allgather(std::int64_t value) {
   // Reuse the slot mechanism with a per-rank stack value.
   thread_local std::int64_t local;

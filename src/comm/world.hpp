@@ -111,12 +111,6 @@ class Communicator {
   /// Copies root's buffer into every rank's buffer.
   void broadcast(std::span<real_t> data, int root);
 
-  /// Variable-length broadcast: root's size wins and the other ranks'
-  /// vectors are resized to match before the copy. This is the group
-  /// snapshot-publication primitive — replicas receive a payload whose size
-  /// only the publisher knows (flattened model weights).
-  void broadcast_v(std::vector<real_t>& data, int root);
-
   /// Gathers each rank's value; result indexed by rank. Available on all ranks.
   std::vector<std::int64_t> allgather(std::int64_t value);
 

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/binary_io.hpp"
 
 namespace distgnn {
 
@@ -38,6 +41,11 @@ EdgeList load_edge_list_binary(const std::string& path) {
   if (version != kVersion) throw std::runtime_error("load_edge_list_binary: unsupported version");
   in.read(reinterpret_cast<char*>(&n), sizeof(n));
   in.read(reinterpret_cast<char*>(&m), sizeof(m));
+  if (!in) throw std::runtime_error("load_edge_list_binary: truncated header in " + path);
+  if (n > static_cast<std::uint64_t>(std::numeric_limits<vid_t>::max()))
+    throw std::runtime_error("load_edge_list_binary: vertex count overflows vid_t in " + path);
+  if (m > bytes_left(in) / sizeof(Edge))
+    throw std::runtime_error("load_edge_list_binary: edge count exceeds the file " + path);
   EdgeList el;
   el.num_vertices = static_cast<vid_t>(n);
   el.edges.resize(m);

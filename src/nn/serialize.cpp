@@ -4,6 +4,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/binary_io.hpp"
+
 namespace distgnn {
 
 namespace {
@@ -58,12 +60,18 @@ std::vector<std::size_t> checkpoint_shape(const std::string& path) {
   in.read(reinterpret_cast<char*>(&version), sizeof(version));
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   if (!in || magic != kMagic) throw std::runtime_error("checkpoint_shape: bad magic in " + path);
+  if (version != kVersion) throw std::runtime_error("checkpoint_shape: unsupported version");
+  // Every parameter takes at least its 8-byte size field.
+  if (count > bytes_left(in) / sizeof(std::uint64_t))
+    throw std::runtime_error("checkpoint_shape: parameter count exceeds the file " + path);
   std::vector<std::size_t> shape;
   shape.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t size = 0;
     in.read(reinterpret_cast<char*>(&size), sizeof(size));
     if (!in) throw std::runtime_error("checkpoint_shape: truncated header");
+    if (size > bytes_left(in) / sizeof(real_t))
+      throw std::runtime_error("checkpoint_shape: truncated parameter data in " + path);
     shape.push_back(static_cast<std::size_t>(size));
     in.seekg(static_cast<std::streamoff>(size * sizeof(real_t)), std::ios::cur);
   }

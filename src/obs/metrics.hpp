@@ -2,9 +2,8 @@
 // update path never takes a mutex.
 //
 // The serving hot path completes hundreds of thousands of requests per
-// second across many worker threads; a shared mutex-guarded tally (the old
-// tenant_lanes_ pattern) serializes exactly the threads that must not
-// serialize. Following the local/remote-access split of the M&M-systems line
+// second across many worker threads; a shared mutex-guarded tally
+// serializes exactly the threads that must not serialize. Following the local/remote-access split of the M&M-systems line
 // of work (PAPERS.md, "On Atomic Registers and Randomized Consensus in M&M
 // Systems"), every metric here is an array of cache-line-padded per-worker
 // shards: a worker increments only its own shard (a relaxed fetch_add on an

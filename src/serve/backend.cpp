@@ -7,75 +7,19 @@
 
 namespace distgnn::serve {
 
-TenantFoldReport check_tenant_fold(const BackendStats& stats, bool edge_authoritative) {
-  TenantFoldReport report;
-  if (stats.children.empty()) return report;
-
-  // Does any child carry tenant lanes at all? A ShardedServer's ranks don't
-  // (lanes live at the server edge) — nothing to check against.
-  bool children_have_lanes = false;
-  for (const BackendStats& child : stats.children)
-    if (!child.tenants.empty()) children_have_lanes = true;
-  if (!children_have_lanes) return report;
-
-  const auto fail = [&](tenant_t tenant, const char* field, std::uint64_t parent,
-                        std::uint64_t fold) {
-    report.consistent = false;
-    report.detail = "tenant " + std::to_string(tenant) + ": parent " + field + "=" +
-                    std::to_string(parent) + " vs children fold=" + std::to_string(fold);
+std::vector<TenantCounters> tenant_lanes(const obs::CounterFamily& submitted,
+                                         const obs::CounterFamily& completed,
+                                         const obs::CounterFamily& shed) {
+  std::vector<TenantCounters> lanes;
+  const auto lane = [&](int tenant) -> TenantCounters& {
+    for (TenantCounters& l : lanes)
+      if (l.tenant == tenant) return l;
+    return lanes.emplace_back(TenantCounters{tenant, 0, 0, 0});
   };
-
-  // Union of tenant ids across parent and children (a lane present below but
-  // missing above is exactly the silent under-count this helper exists for).
-  std::vector<tenant_t> ids;
-  const auto note = [&](tenant_t t) {
-    for (const tenant_t id : ids)
-      if (id == t) return;
-    ids.push_back(t);
-  };
-  for (const TenantCounters& lane : stats.tenants) note(lane.tenant);
-  for (const BackendStats& child : stats.children)
-    for (const TenantCounters& lane : child.tenants) note(lane.tenant);
-
-  for (const tenant_t id : ids) {
-    TenantCounters fold{id, 0, 0, 0};
-    for (const BackendStats& child : stats.children) {
-      if (const TenantCounters* lane = child.find_tenant(id)) {
-        fold.submitted += lane->submitted;
-        fold.completed += lane->completed;
-        fold.shed += lane->shed;
-      }
-    }
-    const TenantCounters* parent = stats.find_tenant(id);
-    const TenantCounters zero{id, 0, 0, 0};
-    if (!parent) parent = &zero;
-    if (parent->completed != fold.completed) {
-      fail(id, "completed", parent->completed, fold.completed);
-      return report;
-    }
-    if (edge_authoritative) {
-      // The edge admits before children see anything, so its submitted/shed
-      // dominate the fold.
-      if (parent->submitted < fold.submitted) {
-        fail(id, "submitted(edge >=)", parent->submitted, fold.submitted);
-        return report;
-      }
-      if (parent->shed < fold.shed) {
-        fail(id, "shed(edge >=)", parent->shed, fold.shed);
-        return report;
-      }
-    } else {
-      if (parent->submitted != fold.submitted) {
-        fail(id, "submitted", parent->submitted, fold.submitted);
-        return report;
-      }
-      if (parent->shed != fold.shed) {
-        fail(id, "shed", parent->shed, fold.shed);
-        return report;
-      }
-    }
-  }
-  return report;
+  submitted.for_each([&](int t, const obs::Counter& c) { lane(t).submitted = c.value(); });
+  completed.for_each([&](int t, const obs::Counter& c) { lane(t).completed = c.value(); });
+  shed.for_each([&](int t, const obs::Counter& c) { lane(t).shed = c.value(); });
+  return lanes;
 }
 
 std::vector<std::optional<InferResult>> ServingBackend::infer_batch(

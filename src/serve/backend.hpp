@@ -39,9 +39,8 @@
 
 namespace distgnn::serve {
 
-/// Per-tenant slice of a stats snapshot. Leaf backends tally their own
-/// lanes; absorb() merges children's lanes by tenant id, so the per-tenant
-/// dimension is scraped through the same stats tree as everything else.
+/// Per-tenant slice of a stats snapshot: one tier's own edge lane, read
+/// back from that tier's {tenant="..."} counters.
 struct TenantCounters {
   tenant_t tenant = kDefaultTenant;
   std::uint64_t submitted = 0;
@@ -53,10 +52,19 @@ struct TenantCounters {
   }
 };
 
-/// One stats snapshot shape for every tier. Leaf backends fill the scalar
-/// counters; composite backends aggregate their members' snapshots into the
-/// parent counters and keep the per-member detail in `children` (per replica
-/// for a group, per rank for a sharded server).
+/// Reads one tier's tenant lanes back from its submitted/completed/shed
+/// counter families, in first-seen order (tenant-id order where the tier
+/// registers its tenants up front).
+std::vector<TenantCounters> tenant_lanes(const obs::CounterFamily& submitted,
+                                         const obs::CounterFamily& completed,
+                                         const obs::CounterFamily& shed);
+
+/// One stats snapshot shape for every tier, read back from the tier's
+/// metrics registry (every serving event is counted there once; the caches
+/// keep their own CacheStats). Leaf backends fill the scalar counters;
+/// composite backends aggregate their members' snapshots into the parent
+/// counters and keep the per-member detail in `children` (per replica for a
+/// group, per rank for a sharded server).
 struct BackendStats {
   /// Human-readable identity of the backend this snapshot describes (a
   /// registry entry's tenant name, empty for anonymous members).
@@ -87,7 +95,10 @@ struct BackendStats {
   /// latency distribution instead of re-measuring at every layer.
   obs::HistogramData latency;
 
-  /// Per-tenant lanes (merged by tenant id in absorb()).
+  /// This tier's own per-tenant edge lanes (absorb() leaves them alone): a
+  /// leaf's admission lanes, a tenant-mode group's or a registry's edge
+  /// lanes. Empty for a tier with no per-tenant edge, such as a plain
+  /// ReplicaGroup; its members' lanes are in `children`.
   std::vector<TenantCounters> tenants;
 
   /// Per-member detail: replicas of a group, ranks of a sharded server.
@@ -106,23 +117,10 @@ struct BackendStats {
     return batches == 0 ? 0.0 : halo_wait_seconds / static_cast<double>(batches);
   }
 
-  /// Find-or-insert the lane for `tenant` (lanes stay sorted by insertion —
-  /// registries insert in id order, so index == id in practice).
-  TenantCounters& tenant_lane(tenant_t tenant) {
-    for (TenantCounters& lane : tenants)
-      if (lane.tenant == tenant) return lane;
-    tenants.push_back(TenantCounters{tenant, 0, 0, 0});
-    return tenants.back();
-  }
-  const TenantCounters* find_tenant(tenant_t tenant) const {
-    for (const TenantCounters& lane : tenants)
-      if (lane.tenant == tenant) return &lane;
-    return nullptr;
-  }
-
   /// Folds a member's counters into this snapshot and records it as a child.
   /// `publishes` is deliberately not summed — composite backends publish as
-  /// one group operation and report their own count.
+  /// one group operation and report their own count — and neither are the
+  /// tenant lanes, which each tier reads from its own edge series.
   void absorb(BackendStats child) {
     completed += child.completed;
     rejected += child.rejected;
@@ -138,39 +136,9 @@ struct BackendStats {
     halo_cache += child.halo_cache;
     embed_cache += child.embed_cache;
     latency += child.latency;
-    for (const TenantCounters& lane : child.tenants) {
-      TenantCounters& mine = tenant_lane(lane.tenant);
-      mine.submitted += lane.submitted;
-      mine.completed += lane.completed;
-      mine.shed += lane.shed;
-    }
     children.push_back(std::move(child));
   }
 };
-
-/// Result of check_tenant_fold: `consistent` is the verdict, `detail` names
-/// the first lane that broke the invariant (empty when consistent).
-struct TenantFoldReport {
-  bool consistent = true;
-  std::string detail;
-};
-
-/// The one place the parent-vs-children tenant-lane invariant is encoded
-/// (each layer used to hand-merge lanes, and a missed lane silently
-/// under-counted). For every tenant lane of `stats`:
-///   - strict mode (edge_authoritative = false; parents whose lanes exist
-///     only via absorb(), e.g. a single-tenant ReplicaGroup):
-///     submitted/completed/shed must each equal the fold of the children's
-///     lanes.
-///   - edge mode (edge_authoritative = true; parents that replace lanes with
-///     their own edge accounting, e.g. a tenant-mode ReplicaGroup or
-///     ModelRegistry): completed must equal the children's fold (every
-///     admitted request is answered exactly once below the edge — exact only
-///     after drain), and submitted/shed must be >= the children's fold (the
-///     edge sees traffic it sheds before any child does).
-/// Backends with no per-tenant children lanes (a ShardedServer's ranks) are
-/// reported consistent trivially — the invariant needs two tiers of lanes.
-TenantFoldReport check_tenant_fold(const BackendStats& stats, bool edge_authoritative);
 
 /// Sideband a DeltaPublisher hands to apply_graph_update so each tier can
 /// invalidate precisely. `epoch` is the graph epoch after the apply (folded

@@ -121,10 +121,4 @@ void InferenceServer::process_batch(std::vector<InferRequest>& batch, ForwardScr
   life_.finish(0, batch, logits, snapshot->version(), service_begin, stages);
 }
 
-BackendStats InferenceServer::stats() const {
-  BackendStats s = life_.lane_stats(0);
-  life_.add_edge_stats(s);
-  return s;
-}
-
 }  // namespace distgnn::serve

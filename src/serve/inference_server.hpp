@@ -85,7 +85,7 @@ class InferenceServer : public ServingBackend {
                           const GraphUpdateNotice& notice) override;
   std::uint64_t graph_epoch() const override { return life_.graph_epoch(); }
 
-  BackendStats stats() const override;
+  BackendStats stats() const override { return life_.stats(/*per_lane_children=*/false); }
   /// ScrapeSource: fold this server's stage histograms and tenant counters
   /// into `out` (acquire-load fold of the per-worker metric shards).
   void scrape(obs::MetricsSnapshot& out) const override { life_.scrape(out); }

@@ -27,6 +27,9 @@ tenant_t ModelRegistry::add(TenantSlo slo, std::unique_ptr<ServingBackend> backe
   if (find(slo.name)) throw std::invalid_argument("ModelRegistry: duplicate name " + slo.name);
   auto e = std::make_unique<Entry>();
   e->bucket = TokenBucket(slo.rate_limit, slo.burst);
+  // The tenant's series exist from registration on, zero until it serves.
+  for (obs::CounterFamily* family : {&submitted_, &admitted_, &completed_, &shed_})
+    family->with(static_cast<int>(entries_.size()));
   e->slo = std::move(slo);
   e->backend = std::move(backend);
   if (started_) e->backend->start();
@@ -72,20 +75,25 @@ RequestMeta ModelRegistry::make_meta(const Entry& e, tenant_t tenant) const {
 bool ModelRegistry::submit(tenant_t tenant, vid_t vertex,
                            std::function<void(InferResult&&)> done) {
   Entry& e = entry(tenant);
-  e.submitted.fetch_add(1, std::memory_order_relaxed);
+  bool ok = false;
   {
     util::MutexLock lock(e.admission_mutex);
-    if (!e.bucket.try_take(ServeClock::now())) return false;  // budget shed
+    ok = e.bucket.try_take(ServeClock::now());  // false: budget shed
   }
-  const bool ok = e.backend->submit(
-      vertex, make_meta(e, tenant),
-      [&e, user_done = std::move(done)](InferResult&& result) mutable {
-        // Count before the user callback so a blocking caller that wakes
-        // inside it observes its own completion in stats().
-        e.completed.fetch_add(1, std::memory_order_relaxed);
-        if (user_done) user_done(std::move(result));
-      });
-  if (ok) e.admitted.fetch_add(1, std::memory_order_relaxed);
+  if (ok) {
+    ok = e.backend->submit(
+        vertex, make_meta(e, tenant),
+        [this, tenant, user_done = std::move(done)](InferResult&& result) mutable {
+          // Count before the user callback so a blocking caller that wakes
+          // inside it observes its own completion in stats().
+          completed_.with(tenant).add();
+          if (user_done) user_done(std::move(result));
+        });
+  }
+  // Counted once the outcome is known, so every submitted request is
+  // admitted or shed (a call that throws is not a request).
+  submitted_.with(tenant).add();
+  (ok ? admitted_ : shed_).with(tenant).add();
   return ok;
 }
 
@@ -117,7 +125,6 @@ std::vector<std::optional<InferResult>> ModelRegistry::infer_batch(
     tenant_t tenant, std::span<const vid_t> vertices) {
   Entry& e = entry(tenant);
   const std::size_t n = vertices.size();
-  e.submitted.fetch_add(n, std::memory_order_relaxed);
   // Charge the budget up front; the admitted prefix proceeds as one batch
   // under the backend's admission epoch.
   std::size_t affordable = 0;
@@ -127,16 +134,19 @@ std::vector<std::optional<InferResult>> ModelRegistry::infer_batch(
     while (affordable < n && e.bucket.try_take(now)) ++affordable;
   }
   std::vector<std::optional<InferResult>> results(n);
-  if (affordable == 0) return results;
-  auto answered = e.backend->infer_batch(vertices.first(affordable), make_meta(e, tenant));
   std::uint64_t got = 0;
-  for (std::size_t i = 0; i < answered.size(); ++i) {
-    if (!answered[i]) continue;
-    results[i] = std::move(answered[i]);
-    ++got;
+  if (affordable > 0) {
+    auto answered = e.backend->infer_batch(vertices.first(affordable), make_meta(e, tenant));
+    for (std::size_t i = 0; i < answered.size(); ++i) {
+      if (!answered[i]) continue;
+      results[i] = std::move(answered[i]);
+      ++got;
+    }
   }
-  e.admitted.fetch_add(got, std::memory_order_relaxed);
-  e.completed.fetch_add(got, std::memory_order_relaxed);
+  submitted_.with(tenant).add(n);
+  admitted_.with(tenant).add(got);
+  completed_.with(tenant).add(got);
+  shed_.with(tenant).add(n - got);
   return results;
 }
 
@@ -150,34 +160,13 @@ BackendStats ModelRegistry::stats() const {
   }
   // The registry edge is the authoritative per-tenant accounting: backends
   // only ever see admitted traffic, so their lanes undercount sheds.
-  s.tenants.clear();
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = *entries_[i];
-    TenantCounters lane;
-    lane.tenant = static_cast<tenant_t>(i);
-    lane.submitted = e.submitted.load(std::memory_order_relaxed);
-    lane.completed = e.completed.load(std::memory_order_relaxed);
-    const std::uint64_t admitted = e.admitted.load(std::memory_order_relaxed);
-    lane.shed = lane.submitted - admitted;
-    s.tenants.push_back(lane);
-  }
+  s.tenants = tenant_lanes(submitted_, completed_, shed_);
   return s;
 }
 
 void ModelRegistry::scrape(obs::MetricsSnapshot& out) const {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = *entries_[i];
-    const obs::Labels labels{{"tenant", std::to_string(i)}};
-    const std::uint64_t submitted = e.submitted.load(std::memory_order_relaxed);
-    const std::uint64_t admitted = e.admitted.load(std::memory_order_relaxed);
-    out.add_counter("distgnn_registry_submitted_total", labels, static_cast<double>(submitted));
-    out.add_counter("distgnn_registry_admitted_total", labels, static_cast<double>(admitted));
-    out.add_counter("distgnn_registry_completed_total", labels,
-                    static_cast<double>(e.completed.load(std::memory_order_relaxed)));
-    out.add_counter("distgnn_registry_shed_total", labels,
-                    static_cast<double>(submitted - admitted));
-    e.backend->scrape(out);
-  }
+  metrics_.scrape(out);
+  for (const auto& e : entries_) e->backend->scrape(out);
 }
 
 void ModelRegistry::collect_traces(std::vector<obs::Trace>& out) const {

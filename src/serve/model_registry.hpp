@@ -29,7 +29,6 @@
 // AdmissionConfig::tenants index their tenants.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -39,6 +38,7 @@
 #include <vector>
 
 #include "graph/datasets.hpp"
+#include "obs/metrics.hpp"
 #include "serve/backend.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/tenant.hpp"
@@ -101,12 +101,14 @@ class ModelRegistry : public obs::ScrapeSource {
   /// children[t] is tenant t's backend snapshot labelled with its registry
   /// name; tenants[t] is the registry-edge lane (submitted / completed /
   /// shed, where shed counts budget sheds and backend rejections — the
-  /// backends themselves only ever see admitted traffic).
+  /// backends themselves only ever see admitted traffic), read from the
+  /// distgnn_registry_* counters.
   BackendStats stats() const;
 
-  /// ScrapeSource over the whole registry: per-tenant registry-edge
-  /// counters (distgnn_registry_*) plus every entry backend's scrape — one
-  /// scrape of the registry walks every tenant's tower down to its leaves.
+  /// ScrapeSource over the whole registry: the per-tenant registry-edge
+  /// counters (distgnn_registry_*{tenant="t"}) plus every entry backend's
+  /// scrape — one scrape of the registry walks every tenant's tower down to
+  /// its leaves.
   void scrape(obs::MetricsSnapshot& out) const override;
   void collect_traces(std::vector<obs::Trace>& out) const override;
 
@@ -123,15 +125,20 @@ class ModelRegistry : public obs::ScrapeSource {
     std::unique_ptr<ServingBackend> backend;
     util::Mutex admission_mutex;  // serializes the (unsynchronized) bucket
     TokenBucket bucket GUARDED_BY(admission_mutex);
-    std::atomic<std::uint64_t> submitted{0};
-    std::atomic<std::uint64_t> admitted{0};
-    std::atomic<std::uint64_t> completed{0};
   };
 
   Entry& entry(tenant_t tenant);
   const Entry& entry(tenant_t tenant) const;
   RequestMeta make_meta(const Entry& e, tenant_t tenant) const;
 
+  /// The registry edge's one set of books, distgnn_registry_*{tenant="t"};
+  /// shed counts budget sheds and backend rejections. Declared before
+  /// entries_, so it outlives their completion callbacks.
+  obs::MetricsRegistry metrics_;
+  obs::CounterFamily submitted_{metrics_, "distgnn_registry_submitted_total"};
+  obs::CounterFamily admitted_{metrics_, "distgnn_registry_admitted_total"};
+  obs::CounterFamily completed_{metrics_, "distgnn_registry_completed_total"};
+  obs::CounterFamily shed_{metrics_, "distgnn_registry_shed_total"};
   std::vector<std::unique_ptr<Entry>> entries_;
   bool started_ = false;
 };

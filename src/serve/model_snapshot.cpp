@@ -138,22 +138,6 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::from_checkpoint(const ModelS
   return snap;
 }
 
-std::shared_ptr<const ModelSnapshot> ModelSnapshot::from_flat(const ModelSpec& spec,
-                                                              std::span<const real_t> flat,
-                                                              std::uint64_t version) {
-  auto snap = allocate(spec, version);
-  std::size_t off = 0;
-  for (DenseMatrix* dst : snap->parameters()) {
-    if (off + dst->size() > flat.size())
-      throw std::runtime_error("ModelSnapshot::from_flat: payload too small for spec");
-    std::copy(flat.data() + off, flat.data() + off + dst->size(), dst->data());
-    off += dst->size();
-  }
-  if (off != flat.size())
-    throw std::runtime_error("ModelSnapshot::from_flat: payload larger than spec");
-  return snap;
-}
-
 std::vector<real_t> ModelSnapshot::flatten() const {
   std::vector<real_t> flat;
   flat.reserve(num_parameters());

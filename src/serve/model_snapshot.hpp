@@ -64,12 +64,6 @@ class ModelSnapshot {
   static std::shared_ptr<const ModelSnapshot> random(const ModelSpec& spec, std::uint64_t seed,
                                                      std::uint64_t version);
 
-  /// Rebuilds a snapshot from flatten()'s layout — the receive side of the
-  /// group-broadcast publication path. A size mismatch throws.
-  static std::shared_ptr<const ModelSnapshot> from_flat(const ModelSpec& spec,
-                                                        std::span<const real_t> flat,
-                                                        std::uint64_t version);
-
   const ModelSpec& spec() const { return spec_; }
   std::uint64_t version() const { return version_; }
   std::size_t num_parameters() const;
@@ -78,8 +72,8 @@ class ModelSnapshot {
   /// the demo's hot-swap publisher use this).
   void save(const std::string& path) const;
 
-  /// All weights in checkpoint order as one contiguous buffer — the wire
-  /// format broadcast to replica ranks (see serve::broadcast_snapshot).
+  /// All weights in checkpoint order as one contiguous buffer (the oracle
+  /// snapshot round-trip tests compare).
   std::vector<real_t> flatten() const;
 
   /// Runs the whole micro-batch through the frozen model in one pass.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 
 #include "obs/health.hpp"
@@ -95,12 +94,16 @@ ReplicaGroup::ReplicaGroup(const Dataset& dataset, int num_replicas,
   for (std::size_t r = 0; r < members_.size(); ++r) {
     members_[r].backend = factory(static_cast<int>(r));
     if (!members_[r].backend) throw std::invalid_argument("ReplicaGroup: factory returned null");
+    replica_admitted_.with(static_cast<int>(r));  // series in replica order
   }
   {
     // Construction-time population still takes the lane lock: nothing can
     // contend yet, and it keeps the guarded-member accesses provable.
     util::MutexLock lock(stage_mutex_);
     for (const TenantSlo& slo : admission_.tenants) {
+      // Every lane's series exist from the start, in tenant-id order.
+      for (obs::CounterFamily* family : {&tenant_submitted_, &tenant_completed_, &tenant_shed_})
+        family->with(static_cast<int>(lanes_.size()));
       TenantLane lane;
       lane.slo = slo;
       lane.bucket = TokenBucket(slo.rate_limit, slo.burst);
@@ -131,7 +134,7 @@ void ReplicaGroup::under_barrier(const std::function<void()>& mutate,
   lock.lock();
   if (version) {
     version_ = *version;
-    ++publishes_;
+    publishes_.add();
   }
   publishing_ = false;
   cv_.notify_all();
@@ -139,19 +142,11 @@ void ReplicaGroup::under_barrier(const std::function<void()>& mutate,
 
 void ReplicaGroup::publish(std::shared_ptr<const ModelSnapshot> snapshot) {
   if (!snapshot) throw std::invalid_argument("ReplicaGroup: null snapshot");
-  const ModelSpec spec = snapshot->spec();
   const std::uint64_t version = snapshot->version();
+  // The snapshot is immutable, so every replica serves the one copy.
   under_barrier(
       [&] {
-        // One broadcast rank per replica: rank 0 is the publisher, every
-        // other rank reconstructs from the flattened wire payload — the same
-        // bytes a cross-process deployment would put on the network.
-        World world(num_replicas());
-        world.run([&](Communicator& comm) {
-          const auto mine =
-              broadcast_snapshot(comm, spec, comm.rank() == 0 ? snapshot : nullptr, /*root=*/0);
-          members_[static_cast<std::size_t>(comm.rank())].backend->publish(mine);
-        });
+        for (Member& m : members_) m.backend->publish(snapshot);
       },
       &version);
 }
@@ -208,7 +203,7 @@ std::vector<std::optional<InferResult>> ReplicaGroup::infer_batch(
 }
 
 bool ReplicaGroup::admit(vid_t vertex, const RequestMeta& meta, Done done) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_.add();
   return tenant_mode() ? stage(vertex, meta, std::move(done))
                        : route(vertex, meta, std::move(done));
 }
@@ -231,7 +226,7 @@ bool ReplicaGroup::deadline_unmeetable(ServeClock::time_point deadline,
 bool ReplicaGroup::route(vid_t vertex, const RequestMeta& meta, Done done) {
   const int r = pick_replica();
   Member& target = members_[static_cast<std::size_t>(r)];
-  std::atomic<std::uint64_t>* shed_reason = nullptr;
+  obs::Counter* shed_reason = nullptr;
   if (admission_.shed_deadlines && meta.deadline != ServeClock::time_point::max() &&
       deadline_unmeetable(meta.deadline, ServeClock::now(), target.backend->mean_service_seconds(),
                           static_cast<double>(target.outstanding.load(std::memory_order_relaxed)),
@@ -253,7 +248,7 @@ bool ReplicaGroup::route(vid_t vertex, const RequestMeta& meta, Done done) {
     if (ok) return true;
     shed_reason = &shed_queue_full_;
   }
-  shed_reason->fetch_add(1, std::memory_order_relaxed);
+  shed_reason->add();
   release();
   return false;
 }
@@ -261,11 +256,11 @@ bool ReplicaGroup::route(vid_t vertex, const RequestMeta& meta, Done done) {
 bool ReplicaGroup::stage(vid_t vertex, RequestMeta meta, Done done) {
   // The first shed reason that fires wins; the slot is released after the
   // lock is dropped.
-  std::atomic<std::uint64_t>* shed_reason = nullptr;
+  obs::Counter* shed_reason = nullptr;
   {
     util::MutexLock lock(stage_mutex_);
     TenantLane& lane = lanes_[static_cast<std::size_t>(meta.tenant)];
-    ++lane.submitted;
+    tenant_submitted_.with(meta.tenant).add();
 
     // Token-bucket budget first: an over-budget tenant sheds regardless of
     // system load — that is what keeps its overload out of everyone's queues.
@@ -294,8 +289,8 @@ bool ReplicaGroup::stage(vid_t vertex, RequestMeta meta, Done done) {
       shed_reason = &shed_queue_full_;
 
     if (shed_reason) {
-      shed_reason->fetch_add(1, std::memory_order_relaxed);
-      ++lane.shed;
+      shed_reason->add();
+      tenant_shed_.with(meta.tenant).add();
     } else {
       lane.staged.push_back(Staged{vertex, meta, std::move(done)});
       ++total_staged_;
@@ -341,7 +336,7 @@ void ReplicaGroup::pump_locked() {
                     [this, tenant, done_ptr](InferResult&& result) {
                       if (*done_ptr) (*done_ptr)(std::move(result));
                       util::MutexLock relock(stage_mutex_);
-                      ++lanes_[static_cast<std::size_t>(tenant)].completed;
+                      tenant_completed_.with(tenant).add();
                       --inflight_;
                       pump_locked();
                     });
@@ -360,8 +355,8 @@ void ReplicaGroup::pump_locked() {
         // Progress guarantee: with nothing in flight nobody would re-pump,
         // so the request sheds. Only reachable when a replica queue is
         // smaller than the dispatch window.
-        shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-        ++lanes_[static_cast<std::size_t>(tenant)].shed;
+        shed_queue_full_.add();
+        tenant_shed_.with(tenant).add();
         release();
       }
       return;
@@ -377,7 +372,7 @@ bool ReplicaGroup::dispatch(int r, vid_t vertex, const RequestMeta& meta, Done d
     ok = m.backend->submit(vertex, meta,
                            [this, &m, done = std::move(done)](InferResult&& result) mutable {
                              m.outstanding.fetch_sub(1, std::memory_order_relaxed);
-                             completed_.fetch_add(1, std::memory_order_relaxed);
+                             completed_.add();
                              if (done) done(std::move(result));
                              release();
                            });
@@ -389,8 +384,8 @@ bool ReplicaGroup::dispatch(int r, vid_t vertex, const RequestMeta& meta, Done d
     m.outstanding.fetch_sub(1, std::memory_order_relaxed);
     return false;
   }
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-  m.admitted.fetch_add(1, std::memory_order_relaxed);
+  admitted_.add();
+  replica_admitted_.with(r).add();
   return true;
 }
 
@@ -468,26 +463,20 @@ std::uint64_t ReplicaGroup::version() const {
   return version_;
 }
 
-std::uint64_t ReplicaGroup::publishes() const {
-  util::MutexLock lock(mutex_);
-  return publishes_;
-}
+std::uint64_t ReplicaGroup::publishes() const { return publishes_.value(); }
 
 AdmissionStats ReplicaGroup::admission_stats() const {
   AdmissionStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.admitted = admitted_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  s.shed_priority = shed_priority_.load(std::memory_order_relaxed);
-  s.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
-  s.shed_budget = shed_budget_.load(std::memory_order_relaxed);
-  for (const Member& m : members_)
-    s.admitted_per_replica.push_back(m.admitted.load(std::memory_order_relaxed));
-  util::MutexLock lock(stage_mutex_);
-  for (std::size_t t = 0; t < lanes_.size(); ++t)
-    s.tenants.push_back(TenantCounters{static_cast<tenant_t>(t), lanes_[t].submitted,
-                                       lanes_[t].completed, lanes_[t].shed});
+  s.submitted = submitted_.value();
+  s.admitted = admitted_.value();
+  s.completed = completed_.value();
+  s.shed_deadline = shed_deadline_.value();
+  s.shed_priority = shed_priority_.value();
+  s.shed_queue_full = shed_queue_full_.value();
+  s.shed_budget = shed_budget_.value();
+  replica_admitted_.for_each(
+      [&](int, const obs::Counter& c) { s.admitted_per_replica.push_back(c.value()); });
+  s.tenants = tenant_lanes(tenant_submitted_, tenant_completed_, tenant_shed_);
   return s;
 }
 
@@ -497,34 +486,15 @@ BackendStats ReplicaGroup::stats() const {
   g.publishes = publishes();
   // Admission sheds happen before any member queue sees the request; fold
   // them into the one rejected counter (queue bounces the members count
-  // themselves).
-  AdmissionStats admission = admission_stats();
-  g.rejected += admission.shed_deadline + admission.shed_priority + admission.shed_budget;
-  if (tenant_mode()) g.tenants = std::move(admission.tenants);
+  // themselves). The tenant lanes are the group's own edge lanes — none in
+  // plain mode.
+  g.rejected += shed_deadline_.value() + shed_priority_.value() + shed_budget_.value();
+  g.tenants = tenant_lanes(tenant_submitted_, tenant_completed_, tenant_shed_);
   return g;
 }
 
 void ReplicaGroup::scrape(obs::MetricsSnapshot& out) const {
-  const AdmissionStats s = admission_stats();
-  out.add_counter("distgnn_router_submitted_total", {}, static_cast<double>(s.submitted));
-  out.add_counter("distgnn_router_admitted_total", {}, static_cast<double>(s.admitted));
-  out.add_counter("distgnn_router_completed_total", {}, static_cast<double>(s.completed));
-  const std::pair<const char*, std::uint64_t> sheds[] = {{"deadline", s.shed_deadline},
-                                                         {"priority", s.shed_priority},
-                                                         {"queue_full", s.shed_queue_full},
-                                                         {"budget", s.shed_budget}};
-  for (const auto& [reason, count] : sheds)
-    out.add_counter("distgnn_router_shed_total", {{"reason", reason}},
-                    static_cast<double>(count));
-  for (const TenantCounters& lane : s.tenants) {
-    const obs::Labels labels{{"tenant", std::to_string(lane.tenant)}};
-    out.add_counter("distgnn_router_tenant_submitted_total", labels,
-                    static_cast<double>(lane.submitted));
-    out.add_counter("distgnn_router_tenant_completed_total", labels,
-                    static_cast<double>(lane.completed));
-    out.add_counter("distgnn_router_tenant_shed_total", labels, static_cast<double>(lane.shed));
-  }
-  out.add_counter("distgnn_group_publishes_total", {}, static_cast<double>(publishes()));
+  metrics_.scrape(out);
   for (const Member& m : members_) m.backend->scrape(out);
 }
 
@@ -554,38 +524,6 @@ void ReplicaGroup::release() {
   util::MutexLock lock(mutex_);
   --slots_;
   if (slots_ == 0) cv_.notify_all();
-}
-
-std::shared_ptr<const ModelSnapshot> broadcast_snapshot(
-    Communicator& comm, const ModelSpec& spec,
-    std::shared_ptr<const ModelSnapshot> snapshot, int root) {
-  // Payload = flattened weights + a 2-float version trailer (the 64-bit
-  // version travels as two bit-cast 32-bit halves, as the sharded halo
-  // protocol does for vertex ids).
-  std::vector<real_t> payload;
-  if (comm.rank() == root) {
-    if (!snapshot) throw std::invalid_argument("broadcast_snapshot: root has no snapshot");
-    payload = snapshot->flatten();
-    const std::uint64_t v = snapshot->version();
-    const std::uint32_t lo = static_cast<std::uint32_t>(v);
-    const std::uint32_t hi = static_cast<std::uint32_t>(v >> 32);
-    real_t flo, fhi;
-    std::memcpy(&flo, &lo, sizeof(lo));
-    std::memcpy(&fhi, &hi, sizeof(hi));
-    payload.push_back(flo);
-    payload.push_back(fhi);
-  }
-  comm.broadcast_v(payload, root);
-  if (comm.rank() == root) return snapshot;
-
-  if (payload.size() < 2)
-    throw std::runtime_error("broadcast_snapshot: truncated payload");
-  std::uint32_t lo = 0, hi = 0;
-  std::memcpy(&lo, &payload[payload.size() - 2], sizeof(lo));
-  std::memcpy(&hi, &payload[payload.size() - 1], sizeof(hi));
-  const std::uint64_t version = (static_cast<std::uint64_t>(hi) << 32) | lo;
-  return ModelSnapshot::from_flat(
-      spec, std::span<const real_t>(payload.data(), payload.size() - 2), version);
 }
 
 }  // namespace distgnn::serve

@@ -31,13 +31,15 @@
 // tenant's SLO deadline applies to requests that carry none.
 //
 // Publication is a group operation with a *version barrier*: publish()
-// waits for every admitted request to complete, then the snapshot travels
-// the broadcast_snapshot wire path — replica 0 keeps the original, every
-// other replica reconstructs a bitwise-identical model from the flattened
-// payload, one World rank per replica — and only then does admission
-// re-open. Every request holds an admission slot until it answers, and
-// infer_batch reserves a whole batch's slots before the first submit, so
-// no batch ever mixes snapshot versions.
+// waits for every admitted request to complete, hands every replica the
+// same immutable snapshot, and only then does admission re-open. Every
+// request holds an admission slot until it answers, and infer_batch
+// reserves a whole batch's slots before the first submit, so no batch ever
+// mixes snapshot versions.
+//
+// The group counts each admission event once, in its own metrics registry
+// (distgnn_router_*, distgnn_group_publishes_total); admission_stats(),
+// stats() and scrape() all read those counters back.
 #pragma once
 
 #include <atomic>
@@ -50,8 +52,8 @@
 #include <string>
 #include <vector>
 
-#include "comm/world.hpp"
 #include "graph/datasets.hpp"
+#include "obs/metrics.hpp"
 #include "partition/libra.hpp"
 #include "serve/backend.hpp"
 #include "serve/inference_server.hpp"
@@ -151,10 +153,9 @@ class ReplicaGroup : public ServingBackend {
   ReplicaGroup(const ReplicaGroup&) = delete;
   ReplicaGroup& operator=(const ReplicaGroup&) = delete;
 
-  /// Version-barriered group publish over the broadcast wire path (see the
-  /// file comment). After it returns every replica serves `snapshot`'s
-  /// version and no in-flight answer mixes versions with anything admitted
-  /// afterwards.
+  /// Version-barriered group publish (see the file comment). After it
+  /// returns every replica serves `snapshot` itself and no in-flight answer
+  /// mixes versions with anything admitted afterwards.
   void publish(std::shared_ptr<const ModelSnapshot> snapshot) override;
   std::shared_ptr<const ModelSnapshot> snapshot() const override;
 
@@ -191,12 +192,13 @@ class ReplicaGroup : public ServingBackend {
   int concurrency() const override;
   const Dataset& dataset() const override { return dataset_; }
   /// The members' fold (children[r] is replica r), with admission sheds
-  /// folded into `rejected`. In tenant mode the group's lanes replace the
-  /// members' fold: the members only ever see admitted traffic.
+  /// folded into `rejected`. The tenant lanes are the group's own edge
+  /// lanes (tenant mode only): the members only ever see admitted traffic.
   BackendStats stats() const override;
-  /// ScrapeSource: the admission counters (distgnn_router_*), the group's
-  /// publish counter, and every replica's scrape — sibling replicas emit the
-  /// same series, which merge by (name, labels) into group-wide totals.
+  /// ScrapeSource: the group's registry (admission counters
+  /// distgnn_router_*, the publish counter) and every replica's scrape —
+  /// sibling replicas emit the same series, which merge by (name, labels)
+  /// into group-wide totals.
   void scrape(obs::MetricsSnapshot& out) const override;
   void collect_traces(std::vector<obs::Trace>& out) const override;
 
@@ -231,11 +233,10 @@ class ReplicaGroup : public ServingBackend {
  private:
   using Done = std::function<void(InferResult&&)>;
 
-  /// One replica and its placement counters.
+  /// One replica and its placement signal.
   struct Member {
     std::unique_ptr<ServingBackend> backend;
     std::atomic<std::uint64_t> outstanding{0};  // admitted, not yet completed
-    std::atomic<std::uint64_t> admitted{0};     // lifetime
   };
   /// A staged request waiting for its weighted-fair dispatch turn.
   struct Staged {
@@ -244,13 +245,13 @@ class ReplicaGroup : public ServingBackend {
     Done done;
   };
   /// One tenant's lane: SLO, rate budget, staged queue, and the smooth-WRR
-  /// accumulator. All fields are guarded by stage_mutex_.
+  /// accumulator. All fields are guarded by stage_mutex_; the lane's
+  /// submitted/completed/shed counts are the tenant_* counter families.
   struct TenantLane {
     TenantSlo slo;
     TokenBucket bucket{0, 0};
     std::deque<Staged> staged;
     double wrr_current = 0;
-    std::uint64_t submitted = 0, completed = 0, shed = 0;
   };
 
   ReplicaGroup(const Dataset& dataset, int num_replicas, const ReplicaFactory& factory,
@@ -295,6 +296,29 @@ class ReplicaGroup : public ServingBackend {
   /// Immutable mirror of dataset_.num_vertices(): the range check must not
   /// read the graph a concurrent apply_graph_update may be move-assigning.
   const vid_t num_vertices_;
+
+  /// The group's one set of books. Declared before members_, so it outlives
+  /// every completion callback that writes it.
+  obs::MetricsRegistry metrics_;
+  obs::Counter& submitted_ = metrics_.counter("distgnn_router_submitted_total");
+  obs::Counter& admitted_ = metrics_.counter("distgnn_router_admitted_total");
+  obs::Counter& completed_ = metrics_.counter("distgnn_router_completed_total");
+  obs::Counter& shed_deadline_ =
+      metrics_.counter("distgnn_router_shed_total", {{"reason", "deadline"}});
+  obs::Counter& shed_priority_ =
+      metrics_.counter("distgnn_router_shed_total", {{"reason", "priority"}});
+  obs::Counter& shed_queue_full_ =  // bounced off a bounded queue / stage cap
+      metrics_.counter("distgnn_router_shed_total", {{"reason", "queue_full"}});
+  obs::Counter& shed_budget_ =
+      metrics_.counter("distgnn_router_shed_total", {{"reason", "budget"}});
+  obs::Counter& publishes_ = metrics_.counter("distgnn_group_publishes_total");
+  obs::CounterFamily replica_admitted_{metrics_, "distgnn_router_replica_admitted_total",
+                                       "replica"};
+  /// Tenant mode only: one series per AdmissionConfig::tenants entry.
+  obs::CounterFamily tenant_submitted_{metrics_, "distgnn_router_tenant_submitted_total"};
+  obs::CounterFamily tenant_completed_{metrics_, "distgnn_router_tenant_completed_total"};
+  obs::CounterFamily tenant_shed_{metrics_, "distgnn_router_tenant_shed_total"};
+
   std::vector<Member> members_;  // sized once; Member is not movable
   const RoutePolicy policy_;
   const AdmissionConfig admission_;
@@ -305,17 +329,9 @@ class ReplicaGroup : public ServingBackend {
   std::size_t slots_ GUARDED_BY(mutex_) = 0;  // admission slots handed out, not yet released
   bool publishing_ GUARDED_BY(mutex_) = false;
   std::uint64_t version_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t publishes_ GUARDED_BY(mutex_) = 0;
 
   std::atomic<std::uint64_t> rr_next_{0};
   std::atomic<std::uint64_t> p2c_draws_{0};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> admitted_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> shed_deadline_{0};
-  std::atomic<std::uint64_t> shed_priority_{0};
-  std::atomic<std::uint64_t> shed_queue_full_{0};
-  std::atomic<std::uint64_t> shed_budget_{0};
 
   // Tenant mode. Lock order: stage_mutex_ may be held while taking mutex_
   // (release() from pump_locked), never the reverse.
@@ -326,13 +342,5 @@ class ReplicaGroup : public ServingBackend {
   std::size_t total_staged_ GUARDED_BY(stage_mutex_) = 0;  // waiting in some lane
   std::size_t window_ = 0;  // immutable after construction
 };
-
-/// Group snapshot publication over a World: `root` flattens its snapshot
-/// (weights + version) and broadcasts; every other rank reconstructs and
-/// returns a bitwise-identical snapshot. The root passes its snapshot in,
-/// the other ranks pass nullptr.
-std::shared_ptr<const ModelSnapshot> broadcast_snapshot(
-    Communicator& comm, const ModelSpec& spec,
-    std::shared_ptr<const ModelSnapshot> snapshot, int root);
 
 }  // namespace distgnn::serve

@@ -34,9 +34,19 @@ RequestLifecycle::RequestLifecycle(const Dataset& dataset, const TierConfig& con
   if (config_.max_batch < 1) throw std::invalid_argument(name_ + ": max_batch must be >= 1");
   if (config_.fanouts.empty()) throw std::invalid_argument(name_ + ": fanouts empty");
   const std::size_t f = static_cast<std::size_t>(dataset_.feature_dim());
-  for (int l = 0; l < num_lanes; ++l)
-    lanes_.push_back(std::make_unique<Lane>(config_.queue_capacity, config_.cache_bytes, f,
-                                            config_.cache_shards));
+  const auto lane_counter = [&](const std::string& name, int l) {
+    return &metrics_.counter("distgnn_" + layer + "_" + name + "_total",
+                             {{"lane", std::to_string(l)}});
+  };
+  for (int l = 0; l < num_lanes; ++l) {
+    Lane& lane = *lanes_.emplace_back(std::make_unique<Lane>(
+        config_.queue_capacity, config_.cache_bytes, f, config_.cache_shards));
+    lane.batches = lane_counter("batches", l);
+    lane.service_ns = lane_counter("service_nanoseconds", l);
+    lane.halo_rows = lane_counter("halo_rows", l);
+    lane.halo_bytes = lane_counter("halo_bytes", l);
+    lane.halo_wait_ns = lane_counter("halo_wait_nanoseconds", l);
+  }
   {
     util::MutexLock lock(embed_mutex_);
     embed_caches_.resize(lanes_.size());
@@ -141,7 +151,6 @@ bool RequestLifecycle::admit(int lane, InferRequest request, bool blocking) {
     return true;
   }
   admitted_.fetch_sub(1, std::memory_order_release);
-  rejected_.fetch_add(1, std::memory_order_relaxed);
   stage_metrics_.shed.with(tenant).add();
   return false;
 }
@@ -250,21 +259,18 @@ void RequestLifecycle::finish(int lane, std::vector<InferRequest>& batch,
   }
 
   Lane& counters = lane_at(lane);
-  counters.service_ns.fetch_add(
-      static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                     ServeClock::now() - service_begin)
-                                     .count()),
-      std::memory_order_relaxed);
-  counters.batches.fetch_add(1, std::memory_order_relaxed);
+  counters.service_ns->add(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(ServeClock::now() - service_begin)
+          .count()));
+  counters.batches->add();
   std::uint64_t seen = counters.max_batch_seen.load(std::memory_order_relaxed);
   while (batch.size() > seen && !counters.max_batch_seen.compare_exchange_weak(
                                     seen, batch.size(), std::memory_order_relaxed)) {
   }
   if (halo) {
-    counters.halo_rows.fetch_add(halo->halo_rows_fetched, std::memory_order_relaxed);
-    counters.halo_bytes.fetch_add(halo->halo_bytes, std::memory_order_relaxed);
-    counters.halo_wait_ns.fetch_add(static_cast<std::uint64_t>(halo->wait_seconds * 1e9),
-                                    std::memory_order_relaxed);
+    counters.halo_rows->add(halo->halo_rows_fetched);
+    counters.halo_bytes->add(halo->halo_bytes);
+    counters.halo_wait_ns->add(static_cast<std::uint64_t>(halo->wait_seconds * 1e9));
   }
   // The drain() signal goes last, with release, after every callback ran.
   counters.completed.fetch_add(batch.size(), std::memory_order_release);
@@ -286,12 +292,13 @@ void RequestLifecycle::drain() const {
 }
 
 double RequestLifecycle::mean_service_seconds() const {
-  // Relaxed loads only — this sits on the per-request admission path, so it
-  // must not take the cache-stats locks a full stats() call would.
+  // Cached counter handles only — this sits on the per-request admission
+  // path, so it must not take the cache-stats locks a full stats() call
+  // would, nor the registry's scrape lock.
   std::uint64_t completed = 0, service_ns = 0;
   for (const auto& lane : lanes_) {
     completed += lane->completed.load(std::memory_order_relaxed);
-    service_ns += lane->service_ns.load(std::memory_order_relaxed);
+    service_ns += lane->service_ns->value();
   }
   return completed == 0 ? 0.0
                         : static_cast<double>(service_ns) * 1e-9 / static_cast<double>(completed);
@@ -333,15 +340,13 @@ BackendStats RequestLifecycle::lane_stats(int lane) const {
   const Lane& counters = lane_at(lane);
   BackendStats s;
   s.completed = counters.completed.load(std::memory_order_relaxed);
-  s.batches = counters.batches.load(std::memory_order_relaxed);
+  s.batches = counters.batches->value();
   s.batched_requests = s.completed;  // every completion rode exactly one batch
   s.max_batch_seen = counters.max_batch_seen.load(std::memory_order_relaxed);
-  s.service_seconds =
-      static_cast<double>(counters.service_ns.load(std::memory_order_relaxed)) * 1e-9;
-  s.halo_rows_fetched = counters.halo_rows.load(std::memory_order_relaxed);
-  s.halo_bytes = counters.halo_bytes.load(std::memory_order_relaxed);
-  s.halo_wait_seconds =
-      static_cast<double>(counters.halo_wait_ns.load(std::memory_order_relaxed)) * 1e-9;
+  s.service_seconds = static_cast<double>(counters.service_ns->value()) * 1e-9;
+  s.halo_rows_fetched = counters.halo_rows->value();
+  s.halo_bytes = counters.halo_bytes->value();
+  s.halo_wait_seconds = static_cast<double>(counters.halo_wait_ns->value()) * 1e-9;
   s.queue_depth = counters.queue.size();
   s.feature_cache = counters.features.stats(/*space=*/0);
   s.halo_cache = counters.features.stats(/*space=*/1);
@@ -349,19 +354,20 @@ BackendStats RequestLifecycle::lane_stats(int lane) const {
   return s;
 }
 
-void RequestLifecycle::add_edge_stats(BackendStats& s) const {
-  s.rejected += rejected_.load(std::memory_order_relaxed);
+BackendStats RequestLifecycle::stats(bool per_lane_children) const {
+  BackendStats s;
+  for (int l = 0; l < static_cast<int>(lanes_.size()); ++l) s.absorb(lane_stats(l));
+  if (!per_lane_children) s.children.clear();
   s.publishes = holder_.num_publishes();
-  // Tenant lanes and the latency histogram fold out of the sharded metrics
-  // (acquire loads) — the lifecycle keeps no second set of books.
-  stage_metrics_.submitted.for_each(
-      [&](int id, const obs::Counter& c) { s.tenant_lane(id).submitted = c.value(); });
-  stage_metrics_.completed.for_each(
-      [&](int id, const obs::Counter& c) { s.tenant_lane(id).completed = c.value(); });
-  stage_metrics_.shed.for_each(
-      [&](int id, const obs::Counter& c) { s.tenant_lane(id).shed = c.value(); });
+  // Tenant lanes, rejections and the latency histogram fold out of the
+  // sharded metrics (acquire loads) — the lifecycle keeps no second set of
+  // books. A rejection is a tenant shed.
+  s.tenants =
+      tenant_lanes(stage_metrics_.submitted, stage_metrics_.completed, stage_metrics_.shed);
+  for (const TenantCounters& lane : s.tenants) s.rejected += lane.shed;
   stage_metrics_.request_seconds.for_each(
       [&](int, const obs::Histogram& h) { s.latency += h.snapshot(); });
+  return s;
 }
 
 }  // namespace distgnn::serve

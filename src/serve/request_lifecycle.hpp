@@ -12,8 +12,9 @@
 // It is organised in lanes, one per queue: the single server has one lane
 // that all its workers share, a sharded server one lane per rank. Each lane
 // owns its queue, its feature cache, its (lazily created) embed cache and
-// lock-free batch counters; the embed budget is split across lanes, so the
-// single server is the one-lane case of the per-rank split.
+// its batch counters in the metrics registry; the embed budget is split
+// across lanes, so the single server is the one-lane case of the per-rank
+// split.
 //
 // Completion is published with release order after a batch's last callback,
 // and drain() acquires it: once drain() returns, every callback's writes are
@@ -77,8 +78,8 @@ class RequestLifecycle {
   InferRequest make_request(vid_t vertex, const RequestMeta& meta,
                             std::function<void(InferResult&&)> done);
   /// Stamps the admit stage and pushes `request` into `lane`'s queue —
-  /// try_push, or the blocking push when `blocking`. Counts a rejection
-  /// and returns false when the queue refuses it.
+  /// try_push, or the blocking push when `blocking`. Counts a shed and
+  /// returns false when the queue refuses it.
   bool admit(int lane, InferRequest request, bool blocking = false);
 
   /// Samples each request's k-hop plan from its request_rng stream into
@@ -114,12 +115,12 @@ class RequestLifecycle {
   void apply_notice(const GraphUpdateNotice& notice);
   std::uint64_t graph_epoch() const { return graph_epoch_.load(std::memory_order_acquire); }
 
-  /// One lane's counters: batches, service time, halo traffic, queue depth
-  /// and caches.
-  BackendStats lane_stats(int lane) const;
-  /// Adds what is counted where requests enter and leave: rejections,
-  /// publishes, tenant lanes and the end-to-end latency histogram.
-  void add_edge_stats(BackendStats& s) const;
+  /// The lanes' batch, service-time and halo counters, queue depths and
+  /// caches, summed (each lane also kept as a child when
+  /// `per_lane_children`), plus what is counted where requests enter and
+  /// leave: rejections (the tenant sheds), publishes, tenant lanes and the
+  /// end-to-end latency histogram.
+  BackendStats stats(bool per_lane_children) const;
 
   void scrape(obs::MetricsSnapshot& out) const { metrics_.scrape(out); }
   void collect_traces(std::vector<obs::Trace>& out) const { trace_sink_.collect(out); }
@@ -135,16 +136,19 @@ class RequestLifecycle {
         : queue(queue_capacity), features(cache_bytes, dim, shards) {}
     BoundedRequestQueue queue;
     ShardedFeatureCache features;  // space 0: owned rows, space 1: halo rows
-    // Monotonic tallies written by finish(); `completed` is bumped last,
-    // with release, and is what drain() waits on.
+    // Written by finish(). `completed` is bumped last, with release, and is
+    // what drain() waits on; `max_batch_seen` is a high-water mark.
     std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> batches{0};
     std::atomic<std::uint64_t> max_batch_seen{0};
-    std::atomic<std::uint64_t> service_ns{0};
-    std::atomic<std::uint64_t> halo_rows{0};
-    std::atomic<std::uint64_t> halo_bytes{0};
-    std::atomic<std::uint64_t> halo_wait_ns{0};
+    // This lane's batch and halo counters in the lifecycle's registry,
+    // cached at construction.
+    obs::Counter* batches = nullptr;
+    obs::Counter* service_ns = nullptr;
+    obs::Counter* halo_rows = nullptr;
+    obs::Counter* halo_bytes = nullptr;
+    obs::Counter* halo_wait_ns = nullptr;
   };
+  BackendStats lane_stats(int lane) const;
   Lane& lane_at(int lane) { return *lanes_[static_cast<std::size_t>(lane)]; }
   const Lane& lane_at(int lane) const { return *lanes_[static_cast<std::size_t>(lane)]; }
 
@@ -155,6 +159,12 @@ class RequestLifecycle {
   /// contract fixes the vertex set at construction, and submit() must not
   /// read through dataset_.graph while a barrier is move-assigning it.
   const vid_t num_vertices_;
+  /// Wait-free telemetry and the lifecycle's one set of books: per-tenant
+  /// submitted/completed/shed counters, per-stage and end-to-end latency
+  /// histograms, and per-lane batch and halo counters
+  /// (distgnn_<layer>_*_total{lane="i"}), folded on read.
+  obs::MetricsRegistry metrics_;
+  obs::StageMetrics stage_metrics_;
   std::vector<std::unique_ptr<Lane>> lanes_;  // fixed at construction
   SnapshotHolder holder_;
   /// Created at the first publish (the spec fixes their geometry); guarded
@@ -164,15 +174,10 @@ class RequestLifecycle {
   std::vector<std::unique_ptr<EmbedCache>> embed_caches_ GUARDED_BY(embed_mutex_);
   std::atomic<std::uint64_t> graph_epoch_{0};
 
-  /// Wait-free telemetry: per-tenant submitted/completed/shed counters and
-  /// per-stage and end-to-end latency histograms, folded on read.
-  obs::MetricsRegistry metrics_;
-  obs::StageMetrics stage_metrics_;
   obs::TraceSink trace_sink_;
 
   std::atomic<std::uint64_t> next_id_{0};
   std::atomic<std::uint64_t> admitted_{0};  // successful queue pushes (drain target)
-  std::atomic<std::uint64_t> rejected_{0};
 };
 
 }  // namespace distgnn::serve

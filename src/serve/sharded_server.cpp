@@ -88,15 +88,6 @@ bool ShardedServer::submit(vid_t vertex, const RequestMeta& meta,
   return life_.admit(owner_[static_cast<std::size_t>(vertex)], std::move(request));
 }
 
-BackendStats ShardedServer::stats() const {
-  // Batch and halo counters per rank; tenant lanes, rejections and latency
-  // are accounted at the server edge, where requests enter and leave.
-  BackendStats s;
-  for (part_t p = 0; p < num_parts_; ++p) s.absorb(life_.lane_stats(p));
-  life_.add_edge_stats(s);
-  return s;
-}
-
 void ShardedServer::apply_graph_update(const std::function<void()>& apply,
                                        const GraphUpdateNotice& notice) {
   // Pause rendezvous (live server only): raise the flag, wait until every

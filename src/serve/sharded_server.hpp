@@ -104,7 +104,7 @@ class ShardedServer : public ServingBackend {
   const Dataset& dataset() const override { return dataset_; }
   /// Aggregate over ranks; children[r] is rank r's detail (halo counters,
   /// per-rank caches, queue depth).
-  BackendStats stats() const override;
+  BackendStats stats() const override { return life_.stats(/*per_lane_children=*/true); }
   /// ScrapeSource: fold the shard's stage histograms (including halo_wait)
   /// and tenant counters into `out`.
   void scrape(obs::MetricsSnapshot& out) const override { life_.scrape(out); }

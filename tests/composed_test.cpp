@@ -237,7 +237,7 @@ TEST(ComposedTier, R2P2AnswersBitwiseEqualSingleServer) {
   cfg.shard.fanouts = {5, 5};
   cfg.shard.prefetch_depth = 2;
   ReplicaGroup tier(dataset, partition, cfg, RoutePolicy::kPowerOfTwo);
-  tier.publish(snapshot);  // the broadcast_snapshot wire path
+  tier.publish(snapshot);  // every replica serves this one snapshot
   tier.start();
 
   EXPECT_EQ(tier.num_replicas(), 2);

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "graph/csr.hpp"
 #include "graph/datasets.hpp"
@@ -246,6 +251,48 @@ TEST(GraphIo, TextRoundTrip) {
   const EdgeList back = load_edge_list_text(path);
   EXPECT_EQ(back.num_vertices, el.num_vertices);
   EXPECT_EQ(back.edges, el.edges);
+  std::remove(path.c_str());
+}
+
+/// A valid binary edge list of a seeded R-MAT graph, as raw bytes.
+std::vector<char> rmat_file_bytes(const std::string& path) {
+  save_edge_list_binary(generate_rmat({.num_vertices = 64, .num_edges = 128, .seed = 21}), path);
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(GraphIo, BinaryRejectsHostileHeadersWithoutAllocating) {
+  const std::string path = ::testing::TempDir() + "/graph_hostile.bin";
+  const std::vector<char> valid = rmat_file_bytes(path);
+  ASSERT_GT(valid.size(), 24u);  // magic(4) + version(4) + n(8) + m(8) + edges
+  const auto with_u64 = [&](std::size_t offset, std::uint64_t value) {
+    std::vector<char> bytes = valid;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  const auto with_u32 = [&](std::size_t offset, std::uint32_t value) {
+    std::vector<char> bytes = valid;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  const std::vector<std::vector<char>> hostile = {
+      with_u64(16, std::uint64_t{1} << 40),  // 2^40 edges: 16 TB if trusted
+      with_u64(8, std::uint64_t{1} << 63),   // vertex count beyond vid_t
+      with_u32(4, 2),                        // unknown version
+      {valid.begin(), valid.end() - 5},      // truncated body
+      {valid.begin(), valid.begin() + 20},   // truncated header
+  };
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    write_bytes(path, hostile[i]);
+    EXPECT_THROW(load_edge_list_binary(path), std::runtime_error) << "case " << i;
+  }
+  write_bytes(path, valid);
+  EXPECT_EQ(load_edge_list_binary(path).edges.size(), 256u);
   std::remove(path.c_str());
 }
 

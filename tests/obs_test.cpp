@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -20,6 +21,9 @@
 #include "serve/replica_group.hpp"
 #include "serve/sharded_server.hpp"
 #include "serve/traffic_gen.hpp"
+#include "stream/delta_publisher.hpp"
+#include "stream/graph_delta.hpp"
+#include "util/rng.hpp"
 
 namespace distgnn {
 namespace {
@@ -451,81 +455,220 @@ TEST(ObsLatencyRecorder, FoldMergesSamples) {
 }
 
 // ---------------------------------------------------------------------------
-// Tenant-lane fold consistency
+// One counter truth: every serving event is counted once, in the owning
+// component's metrics registry, and stats() / admission_stats() /
+// StreamStats read those counters back. So after drain() every count a tier
+// reports equals the series its own scrape emits, at every tier.
 
-TEST(ObsTenantFold, SyntheticStrictAndEdgeModes) {
-  BackendStats parent;
-  BackendStats child1, child2;
-  child1.tenant_lane(0).submitted = 10;
-  child1.tenant_lane(0).completed = 9;
-  child1.tenant_lane(0).shed = 1;
-  child2.tenant_lane(0).submitted = 5;
-  child2.tenant_lane(0).completed = 5;
-  parent.children = {child1, child2};
-  parent.tenant_lane(0).submitted = 15;
-  parent.tenant_lane(0).completed = 14;
-  parent.tenant_lane(0).shed = 1;
-  EXPECT_TRUE(check_tenant_fold(parent, /*edge_authoritative=*/false).consistent);
-
-  // Edge mode tolerates parent-side sheds the children never saw...
-  parent.tenant_lane(0).submitted = 20;
-  parent.tenant_lane(0).shed = 6;
-  EXPECT_FALSE(check_tenant_fold(parent, /*edge_authoritative=*/false).consistent);
-  EXPECT_TRUE(check_tenant_fold(parent, /*edge_authoritative=*/true).consistent);
-
-  // ...but completed must match the fold exactly in both modes.
-  parent.tenant_lane(0).completed = 13;
-  const TenantFoldReport bad = check_tenant_fold(parent, /*edge_authoritative=*/true);
-  EXPECT_FALSE(bad.consistent);
-  EXPECT_FALSE(bad.detail.empty());
-}
-
-/// Stats of a live 2-replica group after one 40-request batch under
-/// `tenant`, drained so every lane is final.
-BackendStats live_group_stats(AdmissionConfig admission, tenant_t tenant) {
+Dataset truth_dataset() {
   LearnableSbmParams params;
   params.num_vertices = 256;
   params.num_classes = 4;
   params.avg_degree = 8;
   params.feature_dim = 16;
   params.seed = 5;
-  const Dataset dataset = make_learnable_sbm(params);
+  return make_learnable_sbm(params);
+}
+
+std::shared_ptr<const ModelSnapshot> truth_snapshot(const Dataset& dataset) {
   ModelSpec spec;
   spec.feature_dim = dataset.feature_dim();
   spec.hidden_dim = 16;
   spec.num_classes = dataset.num_classes;
   spec.num_layers = 2;
+  return ModelSnapshot::random(spec, /*seed=*/1, /*version=*/1);
+}
 
+/// The seeded request stream every tier below serves.
+std::vector<vid_t> truth_vertices(const Dataset& dataset) {
+  Rng rng(17);
+  std::vector<vid_t> vertices;
+  for (int i = 0; i < 40; ++i)
+    vertices.push_back(static_cast<vid_t>(
+        rng.next_below(static_cast<std::uint64_t>(dataset.num_vertices()))));
+  return vertices;
+}
+
+/// Tenant 0 asks for the first 20 vertices and tenant 1 for all 40; once
+/// drained and stopped, the tier sheds one more tenant-0 request.
+void drive(ServingBackend& tier, const std::vector<vid_t>& vertices) {
+  tier.start();
+  RequestMeta meta;
+  meta.tenant = 0;
+  (void)tier.infer_batch(std::span<const vid_t>(vertices).first(20), meta);
+  meta.tenant = 1;
+  (void)tier.infer_batch(vertices, meta);
+  tier.drain();
+  tier.stop();
+  meta.tenant = 0;
+  (void)tier.submit(vertices.front(), meta, [](InferResult&&) {});
+}
+
+/// One series' value; -1 when the scrape lacks it, so a missing series fails
+/// the comparison instead of reading as zero.
+double series(const obs::MetricsSnapshot& snap, const std::string& name,
+              const obs::Labels& labels = {}) {
+  const obs::MetricPoint* point = snap.find(name, labels);
+  return point != nullptr ? point->value : -1.0;
+}
+
+/// Every tenant lane equals its {tenant="t"} series under `prefix`, and
+/// every such series belongs to a lane. A counter family registers a
+/// tenant's series at that tenant's first event, so an absent series is 0.
+void expect_lanes_match(const std::vector<TenantCounters>& lanes,
+                        const obs::MetricsSnapshot& snap, const std::string& prefix) {
+  const auto value = [&](const std::string& field, tenant_t tenant) {
+    const obs::MetricPoint* point =
+        snap.find(prefix + field + "_total", {{"tenant", std::to_string(tenant)}});
+    return point != nullptr ? point->value : 0.0;
+  };
+  for (const TenantCounters& lane : lanes) {
+    EXPECT_EQ(value("submitted", lane.tenant), lane.submitted) << prefix << lane.tenant;
+    EXPECT_EQ(value("completed", lane.tenant), lane.completed) << prefix << lane.tenant;
+    EXPECT_EQ(value("shed", lane.tenant), lane.shed) << prefix << lane.tenant;
+  }
+  for (const char* field : {"submitted", "completed", "shed"})
+    for (const obs::MetricPoint& p : snap.points) {
+      if (p.name != prefix + field + "_total") continue;
+      ASSERT_EQ(p.labels.size(), 1u);
+      const bool has_lane = std::any_of(lanes.begin(), lanes.end(), [&](const TenantCounters& l) {
+        return std::to_string(l.tenant) == p.labels.front().second;
+      });
+      EXPECT_TRUE(has_lane) << p.name << " tenant=" << p.labels.front().second;
+    }
+}
+
+/// The batch, halo and latency counts of `s` against its leaves' `layer`
+/// series (summed over lanes, ranks and replicas).
+void expect_leaf_counts_match(const BackendStats& s, const obs::MetricsSnapshot& snap,
+                              const std::string& layer) {
+  const std::string p = "distgnn_" + layer + "_";
+  EXPECT_EQ(snap.counter_total(p + "completed_total"), s.completed);
+  EXPECT_EQ(snap.counter_total(p + "completed_total"), s.batched_requests);
+  EXPECT_EQ(snap.counter_total(p + "batches_total"), s.batches);
+  EXPECT_EQ(snap.counter_total(p + "halo_rows_total"), s.halo_rows_fetched);
+  EXPECT_EQ(snap.counter_total(p + "halo_bytes_total"), s.halo_bytes);
+  EXPECT_NEAR(snap.counter_total(p + "service_nanoseconds_total") * 1e-9, s.service_seconds,
+              1e-9);
+  EXPECT_NEAR(snap.counter_total(p + "halo_wait_nanoseconds_total") * 1e-9,
+              s.halo_wait_seconds, 1e-9);
+  EXPECT_EQ(snap.histogram_total(p + "request_seconds").count, s.latency.count);
+  EXPECT_GT(s.batches, 0u);
+}
+
+/// A leaf: counts, rejections and tenant lanes all come from its own scrape.
+void expect_leaf_matches(const ServingBackend& leaf, const std::string& layer) {
+  const BackendStats s = leaf.stats();
+  const obs::MetricsSnapshot snap = leaf.scrape_snapshot();
+  expect_leaf_counts_match(s, snap, layer);
+  EXPECT_EQ(snap.counter_total("distgnn_" + layer + "_shed_total"), s.rejected);
+  EXPECT_GE(s.rejected, 1u);  // the request to the stopped tier
+  expect_lanes_match(s.tenants, snap, "distgnn_" + layer + "_");
+}
+
+/// A group: admission counters, the publish count, the rejected fold and
+/// the group's own tenant lanes against the group's scrape; each member
+/// against its own.
+void expect_group_matches(const ReplicaGroup& group, const std::string& layer) {
+  const obs::MetricsSnapshot snap = group.scrape_snapshot();
+  const AdmissionStats a = group.admission_stats();
+  EXPECT_EQ(series(snap, "distgnn_router_submitted_total"), a.submitted);
+  EXPECT_EQ(series(snap, "distgnn_router_admitted_total"), a.admitted);
+  EXPECT_EQ(series(snap, "distgnn_router_completed_total"), a.completed);
+  EXPECT_EQ(series(snap, "distgnn_router_shed_total", {{"reason", "deadline"}}), a.shed_deadline);
+  EXPECT_EQ(series(snap, "distgnn_router_shed_total", {{"reason", "priority"}}), a.shed_priority);
+  EXPECT_EQ(series(snap, "distgnn_router_shed_total", {{"reason", "queue_full"}}),
+            a.shed_queue_full);
+  EXPECT_EQ(series(snap, "distgnn_router_shed_total", {{"reason", "budget"}}), a.shed_budget);
+  ASSERT_EQ(a.admitted_per_replica.size(), static_cast<std::size_t>(group.num_replicas()));
+  for (std::size_t r = 0; r < a.admitted_per_replica.size(); ++r)
+    EXPECT_EQ(series(snap, "distgnn_router_replica_admitted_total",
+                     {{"replica", std::to_string(r)}}),
+              a.admitted_per_replica[r]);
+  EXPECT_EQ(a.submitted, a.admitted + a.shed());
+
+  const BackendStats s = group.stats();
+  EXPECT_EQ(series(snap, "distgnn_group_publishes_total"), s.publishes);
+  expect_leaf_counts_match(s, snap, layer);
+  EXPECT_EQ(snap.counter_total("distgnn_" + layer + "_shed_total") +
+                static_cast<double>(a.shed_deadline + a.shed_priority + a.shed_budget),
+            s.rejected);
+  expect_lanes_match(s.tenants, snap, "distgnn_router_tenant_");
+  expect_lanes_match(a.tenants, snap, "distgnn_router_tenant_");
+  for (int r = 0; r < group.num_replicas(); ++r) {
+    const ServingBackend& member = group.replica(r);
+    const BackendStats ms = member.stats();
+    const obs::MetricsSnapshot msnap = member.scrape_snapshot();
+    expect_leaf_counts_match(ms, msnap, layer);
+    expect_lanes_match(ms.tenants, msnap, "distgnn_" + layer + "_");
+  }
+}
+
+ServeConfig truth_serve_config() {
   ServeConfig cfg;
   cfg.num_workers = 1;
   cfg.max_batch = 4;
   cfg.fanouts = {4, 4};
-  ReplicaGroup group(dataset, cfg, /*replicas=*/2, RoutePolicy::kRoundRobin,
-                     std::move(admission));
-  group.publish(ModelSnapshot::random(spec, /*seed=*/1, /*version=*/1));
-  group.start();
-  std::vector<vid_t> vertices;
-  for (vid_t v = 0; v < 40; ++v) vertices.push_back(v % 256);
-  RequestMeta meta;
-  meta.tenant = tenant;
-  (void)group.infer_batch(vertices, meta);
-  group.drain();
-  BackendStats stats = group.stats();
-  group.stop();
-  return stats;
+  return cfg;
 }
 
-TEST(ObsTenantFold, LiveReplicaGroupIsStrictlyConsistent) {
-  // A plain group's lanes exist only through absorb(): strict fold.
-  BackendStats plain = live_group_stats(AdmissionConfig{}, /*tenant=*/1);
-  const TenantFoldReport report = check_tenant_fold(plain, /*edge_authoritative=*/false);
-  EXPECT_TRUE(report.consistent) << report.detail;
-  EXPECT_EQ(plain.tenant_lane(1).completed, 40u);
+TEST(ObsCounterTruth, InferenceServerStatsAreItsScrape) {
+  const Dataset dataset = truth_dataset();
+  InferenceServer server(dataset, truth_serve_config());
+  server.publish(truth_snapshot(dataset));
+  drive(server, truth_vertices(dataset));
+  expect_leaf_matches(server, "server");
+  const BackendStats s = server.stats();
+  EXPECT_EQ(s.completed, 60u);
+  ASSERT_EQ(s.tenants.size(), 2u);
+  EXPECT_EQ(s.tenants[0].tenant, 0);
+  EXPECT_EQ(s.tenants[0].shed, 1u);
+}
 
-  // A tenant-mode group's lanes are its own edge accounting: tenant 1's
-  // budget sheds most of the batch before any replica sees it, so the
-  // edge's submitted/shed dominate the replicas' fold while completed still
-  // matches it exactly.
+TEST(ObsCounterTruth, ShardedServerStatsAreItsScrapePerRank) {
+  const Dataset dataset = truth_dataset();
+  const EdgePartition partition = partition_libra(dataset.graph.coo(), /*num_parts=*/2);
+  ShardedServeConfig cfg;
+  cfg.max_batch = 4;
+  cfg.fanouts = {4, 4};
+  ShardedServer server(dataset, partition, cfg);
+  server.publish(truth_snapshot(dataset));
+  drive(server, truth_vertices(dataset));
+  expect_leaf_matches(server, "sharded");
+  const BackendStats s = server.stats();
+  const obs::MetricsSnapshot snap = server.scrape_snapshot();
+  ASSERT_EQ(s.children.size(), 2u);
+  for (std::size_t p = 0; p < s.children.size(); ++p) {
+    const obs::Labels lane{{"lane", std::to_string(p)}};
+    EXPECT_EQ(series(snap, "distgnn_sharded_batches_total", lane), s.children[p].batches);
+    EXPECT_EQ(series(snap, "distgnn_sharded_halo_rows_total", lane),
+              s.children[p].halo_rows_fetched);
+  }
+  EXPECT_GT(s.halo_rows_fetched, 0u);
+  EXPECT_EQ(s.completed, 60u);
+}
+
+TEST(ObsCounterTruth, PlainGroupStatsAreItsScrape) {
+  const Dataset dataset = truth_dataset();
+  ReplicaGroup group(dataset, truth_serve_config(), /*replicas=*/2);
+  group.publish(truth_snapshot(dataset));
+  drive(group, truth_vertices(dataset));
+  expect_group_matches(group, "server");
+  // A plain group fronts no tenant lanes of its own; its members' lanes
+  // merge in its scrape.
+  const BackendStats s = group.stats();
+  EXPECT_TRUE(s.tenants.empty());
+  const obs::MetricsSnapshot snap = group.scrape_snapshot();
+  EXPECT_EQ(series(snap, "distgnn_server_completed_total", {{"tenant", "1"}}), 40.0);
+  EXPECT_EQ(s.completed, 60u);
+  EXPECT_EQ(s.publishes, 1u);
+}
+
+TEST(ObsCounterTruth, TenantGroupLanesAreItsEdgeSeries) {
+  // Tenant 1's budget sheds most of its 40-request batch before any replica
+  // sees it, so its edge lane differs from its members' lanes while
+  // completed + shed still accounts for every request.
+  const Dataset dataset = truth_dataset();
   AdmissionConfig admission;
   TenantSlo open;
   open.name = "open";
@@ -534,15 +677,100 @@ TEST(ObsTenantFold, LiveReplicaGroupIsStrictlyConsistent) {
   capped.rate_limit = 1.0;  // one token a second: the burst is all it gets
   capped.burst = 10;
   admission.tenants = {open, capped};
-  BackendStats lanes = live_group_stats(std::move(admission), /*tenant=*/1);
-  const TenantFoldReport edge = check_tenant_fold(lanes, /*edge_authoritative=*/true);
-  EXPECT_TRUE(edge.consistent) << edge.detail;
-  EXPECT_FALSE(check_tenant_fold(lanes, /*edge_authoritative=*/false).consistent);
-  const TenantCounters& lane = lanes.tenant_lane(1);
+  ReplicaGroup group(dataset, truth_serve_config(), /*replicas=*/2, RoutePolicy::kRoundRobin,
+                     std::move(admission));
+  group.publish(truth_snapshot(dataset));
+  drive(group, truth_vertices(dataset));
+  expect_group_matches(group, "server");
+  const BackendStats s = group.stats();
+  ASSERT_EQ(s.tenants.size(), 2u);
+  const TenantCounters& lane = s.tenants[1];
+  EXPECT_EQ(lane.tenant, 1);
   EXPECT_EQ(lane.submitted, 40u);
   EXPECT_GT(lane.shed, 0u);
   EXPECT_GT(lane.completed, 0u);
   EXPECT_EQ(lane.completed + lane.shed, 40u);
+  EXPECT_EQ(group.admission_stats().shed_budget, lane.shed);
+}
+
+TEST(ObsCounterTruth, ComposedGroupStatsAreItsScrape) {
+  const Dataset dataset = truth_dataset();
+  const EdgePartition partition = partition_libra(dataset.graph.coo(), /*num_parts=*/2);
+  ComposedConfig cfg;
+  cfg.replicas = 2;
+  cfg.shard.max_batch = 4;
+  cfg.shard.fanouts = {4, 4};
+  ReplicaGroup group(dataset, partition, cfg, RoutePolicy::kPowerOfTwo);
+  group.publish(truth_snapshot(dataset));
+  drive(group, truth_vertices(dataset));
+  expect_group_matches(group, "sharded");
+  EXPECT_EQ(group.stats().completed, 60u);
+}
+
+TEST(ObsCounterTruth, RegistryLanesAreItsEdgeSeries) {
+  const Dataset dataset = truth_dataset();
+  const auto snapshot = truth_snapshot(dataset);
+  const std::vector<vid_t> vertices = truth_vertices(dataset);
+  ModelRegistry registry;
+  TenantSlo open;
+  open.name = "open";
+  TenantSlo capped;
+  capped.name = "capped";
+  capped.rate_limit = 1.0;
+  capped.burst = 10;
+  const tenant_t a = registry.add_server(open, dataset, truth_serve_config());
+  const tenant_t b = registry.add_server(capped, dataset, truth_serve_config());
+  registry.publish(a, snapshot);
+  registry.publish(b, snapshot);
+  registry.start();
+  (void)registry.infer_batch(a, std::span<const vid_t>(vertices).first(20));
+  (void)registry.infer_batch(b, vertices);
+  registry.backend(a).drain();
+  registry.backend(b).drain();
+  registry.stop();
+  EXPECT_FALSE(registry.submit(a, vertices.front(), [](InferResult&&) {}));
+
+  const BackendStats s = registry.stats();
+  const obs::MetricsSnapshot snap = registry.scrape_snapshot();
+  expect_lanes_match(s.tenants, snap, "distgnn_registry_");
+  for (const TenantCounters& lane : s.tenants)
+    EXPECT_EQ(series(snap, "distgnn_registry_admitted_total",
+                     {{"tenant", std::to_string(lane.tenant)}}),
+              lane.submitted - lane.shed);
+  expect_leaf_counts_match(s, snap, "server");
+  EXPECT_EQ(snap.counter_total("distgnn_server_shed_total"), s.rejected);
+  ASSERT_EQ(s.tenants.size(), 2u);
+  EXPECT_EQ(s.tenants[0].submitted, 21u);
+  EXPECT_EQ(s.tenants[0].completed, 20u);
+  EXPECT_EQ(s.tenants[0].shed, 1u);
+  EXPECT_EQ(s.tenants[1].submitted, 40u);
+  EXPECT_GT(s.tenants[1].shed, 0u);
+  EXPECT_EQ(s.tenants[1].completed + s.tenants[1].shed, 40u);
+}
+
+TEST(ObsCounterTruth, DeltaPublisherStatsAreItsScrape) {
+  const Dataset base = truth_dataset();
+  stream::DeltaStreamConfig stream_cfg;
+  stream_cfg.num_deltas = 3;
+  const auto deltas = stream::make_delta_stream(base, stream_cfg);
+  Dataset live = base;
+  InferenceServer server(live, truth_serve_config());
+  server.publish(truth_snapshot(live));
+  server.start();
+  stream::DeltaPublisher publisher(live, server);
+  for (const auto& delta : deltas) publisher.publish(delta);
+  server.stop();
+
+  const stream::StreamStats s = publisher.stats();
+  const obs::MetricsSnapshot snap = publisher.scrape_snapshot();
+  EXPECT_EQ(s.deltas_published, 3u);
+  EXPECT_EQ(series(snap, "distgnn_stream_deltas_total"), s.deltas_published);
+  EXPECT_EQ(series(snap, "distgnn_stream_edges_inserted_total"), s.edges_inserted);
+  EXPECT_EQ(series(snap, "distgnn_stream_edges_deleted_total"), s.edges_deleted);
+  EXPECT_EQ(series(snap, "distgnn_stream_features_updated_total"), s.features_updated);
+  EXPECT_EQ(series(snap, "distgnn_stream_dirty_entries_total"), s.dirty_entries);
+  EXPECT_EQ(series(snap, "distgnn_stream_full_flush_equivalent_total"), s.full_flush_equivalent);
+  EXPECT_GT(s.edges_inserted, 0u);
 }
 
 // ---------------------------------------------------------------------------

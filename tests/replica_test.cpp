@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "comm/world.hpp"
 #include "graph/datasets.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_snapshot.hpp"
@@ -361,46 +360,6 @@ TEST(Admission, LowPriorityShedsFirstUnderBacklog) {
   const AdmissionStats stats = group.admission_stats();
   EXPECT_EQ(stats.shed_priority, 1u);
   EXPECT_EQ(stats.shed_deadline, 0u);
-}
-
-// ------------------------------------------------- group snapshot broadcast
-
-TEST(SnapshotBroadcast, EveryRankReconstructsBitwiseIdenticalModel) {
-  const Dataset dataset = make_replica_dataset();
-  const ModelSpec spec = sage_spec(dataset);
-  const auto original = ModelSnapshot::random(spec, /*seed=*/77, /*version=*/42);
-  constexpr int kRoot = 1;
-
-  std::vector<std::vector<real_t>> flats(3);
-  std::vector<std::uint64_t> versions(3, 0);
-  World::launch(3, [&](Communicator& comm) {
-    const auto mine = broadcast_snapshot(
-        comm, spec, comm.rank() == kRoot ? original : nullptr, kRoot);
-    flats[static_cast<std::size_t>(comm.rank())] = mine->flatten();
-    versions[static_cast<std::size_t>(comm.rank())] = mine->version();
-  });
-
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(versions[static_cast<std::size_t>(r)], 42u) << "rank " << r;
-    EXPECT_EQ(flats[static_cast<std::size_t>(r)], original->flatten()) << "rank " << r;
-  }
-}
-
-TEST(SnapshotBroadcast, FlatRoundTripMatchesAndValidatesSize) {
-  const Dataset dataset = make_replica_dataset();
-  const ModelSpec spec = sage_spec(dataset);
-  const auto original = ModelSnapshot::random(spec, /*seed=*/7, /*version=*/5);
-  const std::vector<real_t> flat = original->flatten();
-  EXPECT_EQ(flat.size(), original->num_parameters());
-
-  const auto rebuilt = ModelSnapshot::from_flat(spec, flat, /*version=*/5);
-  EXPECT_EQ(rebuilt->flatten(), flat);
-
-  std::vector<real_t> truncated(flat.begin(), flat.end() - 1);
-  EXPECT_THROW(ModelSnapshot::from_flat(spec, truncated, 5), std::runtime_error);
-  std::vector<real_t> oversized = flat;
-  oversized.push_back(0.0f);
-  EXPECT_THROW(ModelSnapshot::from_flat(spec, oversized, 5), std::runtime_error);
 }
 
 // ------------------------------------------------------- shed-vs-noshed A/B

@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -130,6 +132,39 @@ TEST(Serialize, ShapeRejectsTruncatedHeader) {
   out.close();
 
   EXPECT_THROW(checkpoint_shape(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, ShapeRejectsHostileHeadersWithoutAllocating) {
+  const std::string path = temp_path("hostile");
+  SageModel model(8, 16, 4, 2, /*seed=*/3);
+  save_checkpoint(model.params(), path);
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> valid((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_GT(valid.size(), 24u);  // magic(4) + version(4) + count(8) + size(8) + ...
+  const auto with_u64 = [&](std::size_t offset, std::uint64_t value) {
+    std::vector<char> bytes = valid;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  std::vector<char> wrong_version = valid;
+  const std::uint32_t version = 2;
+  std::memcpy(wrong_version.data() + 4, &version, sizeof(version));
+  const std::vector<std::vector<char>> hostile = {
+      with_u64(8, std::uint64_t{1} << 40),   // 2^40 tensors: reserve() would throw length_error
+      with_u64(16, std::uint64_t{1} << 40),  // a 2^40-element first tensor
+      wrong_version,
+      {valid.begin(), valid.end() - 5},  // truncated body
+  };
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(hostile[i].data(), static_cast<std::streamsize>(hostile[i].size()));
+    }
+    EXPECT_THROW(checkpoint_shape(path), std::runtime_error) << "case " << i;
+  }
   std::remove(path.c_str());
 }
 

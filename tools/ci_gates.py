@@ -11,6 +11,7 @@ Numeric bounds come from tools/ci_thresholds.json beside this script; the
 comparison operator of each bound is fixed here, next to its gate.
 
 Gates and the artifacts they read:
+    serve-demo       serve_demo.out, replicated.out, composed.out  (serve_demo stdout)
     observability    metrics.prom, traces.json  (serve_demo --metrics-out/--trace-out)
     serving-bench    bench_composed_serving.json, bench_serving.json
     embed-cache      bench_embed_cache.json
@@ -42,6 +43,43 @@ def check(condition, message):
 def benchmarks(path):
     with open(path) as f:
         return {b["name"]: b for b in json.load(f)["benchmarks"]}
+
+
+def summary_fields(path, prefix):
+    """The key=value fields of the first `prefix` line in `path`."""
+    with open(path) as f:
+        for line in f:
+            if line.startswith(prefix):
+                print(line.rstrip())
+                return dict(re.findall(r"(\w+)=([0-9.]+)", line))
+    raise GateFailure(f"no '{prefix}' line in {path}")
+
+
+def number(fields, key):
+    check(key in fields, f"summary line has no {key}=")
+    return float(fields[key])
+
+
+def gate_serve_demo(t):
+    t = t["serve_demo"]
+    serving = summary_fields("serve_demo.out", "serving summary:")
+    check(number(serving, "QPS") > t["serving_qps_above"], "serving: zero QPS")
+    check(number(serving, "p99_ms") > t["serving_p99_ms_above"], "serving: zero p99")
+    tenants = summary_fields("serve_demo.out", "multitenant summary:")
+    check(number(tenants, "A_shed") == t["multitenant_a_shed_equals"],
+          "multitenant: tenant A shed requests")
+    check(number(tenants, "A_qps") > t["multitenant_a_qps_above"],
+          "multitenant: tenant A served nothing")
+    replicated = summary_fields("replicated.out", "replicated summary:")
+    check(number(replicated, "QPS") > t["replicated_qps_above"], "replicated: zero QPS")
+    check(number(replicated, "shed_rate") < t["replicated_shed_rate_below"],
+          "replicated: everything shed")
+    composed = summary_fields("composed.out", "composed summary:")
+    check(number(composed, "QPS") > t["composed_qps_above"], "composed: zero QPS")
+    check(number(composed, "shed_rate") < t["composed_shed_rate_below"],
+          "composed: everything shed")
+    check(number(composed, "match") == t["composed_match"],
+          "composed: answers diverged from the single server")
 
 
 def gate_observability(t):
@@ -186,6 +224,7 @@ def gate_health_overhead(t):
 
 
 GATES = {
+    "serve-demo": gate_serve_demo,
     "observability": gate_observability,
     "serving-bench": gate_serving_bench,
     "embed-cache": gate_embed_cache,
