@@ -1,10 +1,12 @@
 // google-benchmark microbenchmarks of the Aggregation Primitive variants:
-// the kernel-level view behind Figures 2-4. Run with --benchmark_filter=...
+// the kernel-level view behind Figures 2-4, plus the MLP's three GEMM
+// products at train-cd0's rank-0 shapes. Run with --benchmark_filter=...
 // to drill into one variant.
 #include <benchmark/benchmark.h>
 
 #include "graph/generators.hpp"
 #include "kernels/aggregate.hpp"
+#include "nn/gemm.hpp"
 #include "util/rng.hpp"
 
 namespace distgnn {
@@ -105,6 +107,40 @@ void BM_MicrokernelToggle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MicrokernelToggle)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The trainer's GEMMs at train-cd0's rank-0 shape (22,889 local vertices,
+// 128 features, hidden 64, 32 classes). Args: product (0 = X·W forward,
+// 1 = Xᵀ·dY weight gradient, 2 = dY·Wᵀ input gradient), in, out.
+void BM_Gemm(benchmark::State& state) {
+  constexpr std::size_t kRows = 22889;
+  const auto product = state.range(0);
+  const auto in = static_cast<std::size_t>(state.range(1));
+  const auto out = static_cast<std::size_t>(state.range(2));
+  Rng rng(7);
+  const auto random = [&](std::size_t rows, std::size_t cols) {
+    DenseMatrix m(rows, cols);
+    for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = rng.uniform(-1.0f, 1.0f);
+    return m;
+  };
+  const DenseMatrix x = random(kRows, in), w = random(in, out), dy = random(kRows, out);
+  DenseMatrix c(product == 0 ? kRows : product == 1 ? in : kRows, product == 2 ? in : out);
+  for (auto _ : state) {
+    switch (product) {
+      case 0: gemm(x.cview(), w.cview(), c.view()); break;
+      case 1: gemm_at_b(x.cview(), dy.cview(), c.view()); break;
+      default: gemm_a_bt(dy.cview(), w.cview(), c.view()); break;
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  // One item is one multiply-add.
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kRows * in * out));
+}
+BENCHMARK(BM_Gemm)
+    ->ArgNames({"product", "in", "out"})
+    ->ArgsProduct({{0, 1, 2}, {128}, {64}})
+    ->ArgsProduct({{0, 1, 2}, {64}, {32}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace distgnn

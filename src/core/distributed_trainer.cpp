@@ -8,6 +8,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "comm/compression.hpp"
 #include "comm/world.hpp"
@@ -184,16 +185,17 @@ class RankTrainer {
     loss_.backward(d_upper_.view());
 
     ApConfig ap;
-    for (int l2 = config_.num_layers - 1; l2 >= 0; --l2) {
+    for (int l2 = config_.num_layers - 1; l2 > 0; --l2) {
       dscaled_.resize_discard(n, model_.layer(l2).in_dim());
       model_.layer(l2).backward_to_scaled(d_upper_.cview(), dscaled_.view());
-      if (l2 == 0) break;
       dH_.resize_discard(n, dscaled_.cols(), 0);
       aggregate_prepartitioned(blocked_out_, dscaled_.cview(), {}, dH_.view(), ap);
       const std::size_t total = dH_.size();
       for (std::size_t i = 0; i < total; ++i) dH_.data()[i] += dscaled_.data()[i];
-      d_upper_ = dH_;
+      std::swap(d_upper_, dH_);
     }
+    // No gradient is needed w.r.t. the input features.
+    model_.layer(0).backward_to_scaled(d_upper_.cview(), MatrixView{});
 
     allreduce_gradients();
     auto params = model_.params();

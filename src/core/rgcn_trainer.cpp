@@ -1,6 +1,7 @@
 #include "core/rgcn_trainer.hpp"
 
 #include <chrono>
+#include <utility>
 
 namespace distgnn {
 
@@ -106,18 +107,15 @@ RgcnEpochStats RgcnTrainer::train_epoch() {
   loss_.backward(d_upper_.view());
   stats.mlp_seconds += seconds_since(t0);
 
-  for (int l = static_cast<int>(layers_.size()) - 1; l >= 0; --l) {
+  for (int l = static_cast<int>(layers_.size()) - 1; l > 0; --l) {
     t0 = std::chrono::steady_clock::now();
     dH_self_.resize_discard(n, layers_[static_cast<std::size_t>(l)].in_dim());
     layers_[static_cast<std::size_t>(l)].backward(d_upper_.cview(), dscaled_rel_, dH_self_.view());
     stats.mlp_seconds += seconds_since(t0);
 
-    if (l == 0) break;
-
-    // dH = dH_self + Σ_r A_rᵀ dscaled_rel[r].
+    // dH = dH_self + Σ_r A_rᵀ dscaled_rel[r], accumulated in dH_self_.
     t0 = std::chrono::steady_clock::now();
-    dH_ = dH_self_;
-    scratch_.resize_discard(n, dH_.cols(), 0);
+    scratch_.resize_discard(n, dH_self_.cols(), 0);
     for (int r = 0; r < relations; ++r) {
       scratch_.zero();
       if (config_.ap_mode == ApMode::kOptimized) {
@@ -129,15 +127,18 @@ RgcnEpochStats RgcnTrainer::train_epoch() {
                            dscaled_rel_[static_cast<std::size_t>(r)].cview(), {}, scratch_.view(),
                            ap.binary, ap.reduce);
       }
-      const std::size_t total = dH_.size();
+      const std::size_t total = dH_self_.size();
 #pragma omp parallel for schedule(static)
-      for (std::size_t i = 0; i < total; ++i) dH_.data()[i] += scratch_.data()[i];
+      for (std::size_t i = 0; i < total; ++i) dH_self_.data()[i] += scratch_.data()[i];
     }
     stats.ap_seconds += seconds_since(t0);
-    d_upper_ = dH_;
+    std::swap(d_upper_, dH_self_);
   }
-
+  // No gradient is needed w.r.t. the input features.
   t0 = std::chrono::steady_clock::now();
+  std::vector<DenseMatrix> no_relation_grads;
+  layers_.front().backward(d_upper_.cview(), no_relation_grads, MatrixView{});
+
   std::vector<ParamRef> params;
   for (auto& layer : layers_) layer.collect_params(params);
   optimizer_.step(params);

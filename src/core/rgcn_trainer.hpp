@@ -58,7 +58,7 @@ class RgcnTrainer {
   std::vector<DenseMatrix> acts_;                 // per layer
   std::vector<std::vector<DenseMatrix>> aggs_;    // [layer][relation]
   std::vector<DenseMatrix> dscaled_rel_;          // per relation scratch
-  DenseMatrix d_upper_, dH_, dH_self_, scratch_;
+  DenseMatrix d_upper_, dH_self_, scratch_;
 };
 
 }  // namespace distgnn

@@ -1,6 +1,7 @@
 #include "core/single_socket_trainer.hpp"
 
 #include <chrono>
+#include <utility>
 
 namespace distgnn {
 
@@ -95,13 +96,11 @@ EpochStats SingleSocketTrainer::train_epoch() {
   stats.mlp_seconds += seconds_since(t0);
 
   // ---- backward ----
-  for (int l = config_.num_layers - 1; l >= 0; --l) {
+  for (int l = config_.num_layers - 1; l > 0; --l) {
     t0 = std::chrono::steady_clock::now();
     dscaled_.resize_discard(n, model_.layer(l).in_dim());
     model_.layer(l).backward_to_scaled(d_upper_.cview(), dscaled_.view());
     stats.mlp_seconds += seconds_since(t0);
-
-    if (l == 0) break;  // no gradient needed w.r.t. the input features
 
     // dH = dscaled + A^T dscaled (self + neighbour paths).
     t0 = std::chrono::steady_clock::now();
@@ -115,10 +114,12 @@ EpochStats SingleSocketTrainer::train_epoch() {
 #pragma omp parallel for schedule(static)
     for (std::size_t i = 0; i < total; ++i) dH_.data()[i] += dscaled_.data()[i];
     stats.ap_seconds += seconds_since(t0);
-    d_upper_ = dH_;
+    std::swap(d_upper_, dH_);
   }
-
+  // No gradient is needed w.r.t. the input features.
   t0 = std::chrono::steady_clock::now();
+  model_.layer(0).backward_to_scaled(d_upper_.cview(), MatrixView{});
+
   auto params = model_.params();
   optimizer_.step(params);
   stats.mlp_seconds += seconds_since(t0);

@@ -33,6 +33,7 @@ class GraphSageLayer {
   /// dscaled = inv_norm ⊙ d(combined) of shape (n x in). The caller finishes:
   ///   dH = dscaled + A_localᵀ · dscaled
   /// (self path + neighbour path). Parameter gradients accumulate internally.
+  /// An empty `dscaled` skips the input gradient (the first layer needs none).
   void backward_to_scaled(ConstMatrixView dY, MatrixView dscaled);
 
   void zero_grad() { linear_.zero_grad(); }

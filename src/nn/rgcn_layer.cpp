@@ -54,7 +54,7 @@ void RgcnLayer::forward_from_aggregates(ConstMatrixView H, const std::vector<Den
 
 void RgcnLayer::backward(ConstMatrixView dY, std::vector<DenseMatrix>& dscaled_rel,
                          MatrixView dH_self) {
-  if (dscaled_rel.size() != relation_.size())
+  if (!dscaled_rel.empty() && dscaled_rel.size() != relation_.size())
     throw std::invalid_argument("RgcnLayer::backward: one output buffer per relation required");
 
   ConstMatrixView upstream = dY;
@@ -70,6 +70,7 @@ void RgcnLayer::backward(ConstMatrixView dY, std::vector<DenseMatrix>& dscaled_r
   // Relation paths.
   for (std::size_t r = 0; r < relation_.size(); ++r) {
     gemm_at_b(scaled_aggs_[r].cview(), upstream, relation_[r].grad.view(), /*accumulate=*/true);
+    if (dscaled_rel.empty()) continue;
     DenseMatrix& dscaled = dscaled_rel[r];
     dscaled.resize_discard(scaled_aggs_[r].rows(), scaled_aggs_[r].cols());
     gemm_a_bt(upstream, relation_[r].w.cview(), dscaled.view());

@@ -33,7 +33,8 @@ class RgcnLayer {
   /// gradient w.r.t. relation r's aggregate — and dH_self receives the
   /// gradient through the self path (dY W_selfᵀ). The caller completes
   ///   dH = dH_self + Σ_r A_rᵀ dscaled_rel[r].
-  /// Parameter gradients accumulate internally.
+  /// Parameter gradients accumulate internally. An empty `dscaled_rel` or
+  /// `dH_self` skips that input gradient (the first layer needs neither).
   void backward(ConstMatrixView dY, std::vector<DenseMatrix>& dscaled_rel, MatrixView dH_self);
 
   void zero_grad();

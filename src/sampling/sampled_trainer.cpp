@@ -1,6 +1,7 @@
 #include "sampling/sampled_trainer.hpp"
 
 #include <chrono>
+#include <utility>
 
 #include "kernels/aggregate.hpp"
 
@@ -92,7 +93,7 @@ SampledEpochStats SampledSageTrainer::train_epoch() {
     dY.resize_discard(logits.rows(), logits.cols());
     loss_.backward(dY.view());
 
-    for (int l = static_cast<int>(layers_.size()) - 1; l >= 0; --l) {
+    for (int l = static_cast<int>(layers_.size()) - 1; l > 0; --l) {
       const SampledBlock& block = mb.blocks[static_cast<std::size_t>(l)];
       const std::size_t d = layers_[static_cast<std::size_t>(l)].in_dim();
       const auto n_dst = static_cast<std::size_t>(block.num_dst);
@@ -112,8 +113,10 @@ SampledEpochStats SampledSageTrainer::train_epoch() {
           for (std::size_t j = 0; j < d; ++j) t[j] += g[j];
         }
       }
-      dY = dH;
+      std::swap(dY, dH);
     }
+    // No gradient is needed w.r.t. the input features.
+    layers_.front().backward_to_scaled(dY.cview(), MatrixView{});
 
     params.clear();
     for (auto& layer : layers_) layer.collect_params(params);

@@ -1,6 +1,7 @@
 #include "serve/backend.hpp"
 
 #include <chrono>
+#include <exception>
 #include <future>
 #include <stdexcept>
 #include <thread>
@@ -39,23 +40,35 @@ std::vector<std::optional<InferResult>> ServingBackend::submit_all(
   util::Mutex mutex;
   util::CondVar cv;
   std::size_t pending = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  // A submit that throws (say, an out-of-range vertex) ends the loop, but the
+  // requests already queued still reply into `results` and `pending`: wait
+  // for them before the exception leaves this frame.
+  std::exception_ptr error;
+  for (std::size_t i = 0; i < n && !error; ++i) {
     {
       util::MutexLock lock(mutex);
       ++pending;
     }
-    const bool ok = submit_one(vertices[i], meta, [&, i](InferResult&& result) {
-      util::MutexLock lock(mutex);
-      results[i] = std::move(result);
-      if (--pending == 0) cv.notify_all();
-    });
+    bool ok = false;
+    try {
+      ok = submit_one(vertices[i], meta, [&, i](InferResult&& result) {
+        util::MutexLock lock(mutex);
+        results[i] = std::move(result);
+        if (--pending == 0) cv.notify_all();
+      });
+    } catch (...) {
+      error = std::current_exception();
+    }
     if (!ok) {
       util::MutexLock lock(mutex);
       if (--pending == 0) cv.notify_all();
     }
   }
-  util::MutexLock lock(mutex);
-  while (pending != 0) cv.wait(lock);
+  {
+    util::MutexLock lock(mutex);
+    while (pending != 0) cv.wait(lock);
+  }
+  if (error) std::rethrow_exception(error);
   return results;
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "nn/activations.hpp"
@@ -11,6 +13,8 @@
 #include "nn/loss.hpp"
 #include "nn/metrics.hpp"
 #include "nn/optim.hpp"
+#include "nn/rgcn_layer.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace distgnn {
@@ -81,6 +85,107 @@ TEST(Gemm, TransposedVariants) {
       real_t acc = 0;
       for (std::size_t k = 0; k < 6; ++k) acc += X.at(i, k) * D.at(j, k);
       ASSERT_NEAR(F.at(i, j), acc, 1e-4f);
+    }
+}
+
+bool bitwise_equal(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;
+}
+
+enum class Product { kAB, kAtB, kABt };
+
+/// Checks one of the three GEMM products against a scalar loop that adds
+/// a*b into each element in ascending k from +0 (or from C when
+/// accumulating): the kernel must match it bit for bit at every shape,
+/// including ones that straddle the MR x NR tile and the KC block edges.
+class GemmTester {
+ public:
+  GemmTester& m(std::size_t v) { m_ = v; return *this; }
+  GemmTester& n(std::size_t v) { n_ = v; return *this; }
+  GemmTester& k(std::size_t v) { k_ = v; return *this; }
+  GemmTester& accumulate(bool v) { accumulate_ = v; return *this; }
+
+  /// The kernel's output on seeded inputs; a quarter of A's entries are
+  /// exact zeros (gemm_at_b's old loop skipped them).
+  DenseMatrix run(Product product) const {
+    const Inputs in = inputs(product);
+    DenseMatrix c = in.c0;
+    switch (product) {
+      case Product::kAB: gemm(in.a.cview(), in.b.cview(), c.view(), accumulate_); break;
+      case Product::kAtB: gemm_at_b(in.a.cview(), in.b.cview(), c.view(), accumulate_); break;
+      case Product::kABt: gemm_a_bt(in.a.cview(), in.b.cview(), c.view(), accumulate_); break;
+    }
+    return c;
+  }
+
+  DenseMatrix reference(Product product) const {
+    const Inputs in = inputs(product);
+    DenseMatrix c = in.c0;
+    for (std::size_t i = 0; i < m_; ++i)
+      for (std::size_t j = 0; j < n_; ++j) {
+        real_t acc = accumulate_ ? c.at(i, j) : 0;
+        for (std::size_t p = 0; p < k_; ++p) {
+          const real_t a = product == Product::kAtB ? in.a.at(p, i) : in.a.at(i, p);
+          const real_t b = product == Product::kABt ? in.b.at(j, p) : in.b.at(p, j);
+          acc += a * b;
+        }
+        c.at(i, j) = acc;
+      }
+    return c;
+  }
+
+  void test(Product product) const {
+    ASSERT_TRUE(bitwise_equal(run(product), reference(product)))
+        << "product " << static_cast<int>(product) << " m=" << m_ << " n=" << n_ << " k=" << k_
+        << " accumulate=" << accumulate_;
+  }
+
+ private:
+  struct Inputs {
+    DenseMatrix a, b, c0;
+  };
+
+  Inputs inputs(Product product) const {
+    Rng rng(m_ * 1000003 + n_ * 1009 + k_);
+    Inputs in;
+    in.a = product == Product::kAtB ? random_matrix(k_, m_, rng) : random_matrix(m_, k_, rng);
+    for (std::size_t i = 0; i < in.a.size(); i += 4) in.a.data()[i] = 0;
+    in.b = product == Product::kABt ? random_matrix(n_, k_, rng) : random_matrix(k_, n_, rng);
+    in.c0 = random_matrix(m_, n_, rng);
+    return in;
+  }
+
+  std::size_t m_ = 1, n_ = 1, k_ = 1;
+  bool accumulate_ = false;
+};
+
+constexpr Product kProducts[] = {Product::kAB, Product::kAtB, Product::kABt};
+
+TEST(GemmKernel, BitwiseEqualsSequentialKReferenceAcrossTileEdges) {
+  for (const std::size_t m : {std::size_t{1}, kGemmMR - 1, kGemmMR, kGemmMR + 1, std::size_t{37}})
+    for (const std::size_t n : {std::size_t{1}, kGemmNR - 1, kGemmNR, kGemmNR + 1, std::size_t{37}})
+      for (const std::size_t k :
+           {std::size_t{1}, kGemmKC - 1, kGemmKC, kGemmKC + 1, std::size_t{600}})
+        for (const bool accumulate : {false, true})
+          for (const Product product : kProducts)
+            GemmTester().m(m).n(n).k(k).accumulate(accumulate).test(product);
+}
+
+TEST(GemmKernel, ResultDoesNotDependOnThreadCount) {
+  const int threads = par::max_threads();
+  for (const Product product : kProducts)
+    for (const auto [m, n, k] : {std::array<std::size_t, 3>{37, 37, 600},
+                                 std::array<std::size_t, 3>{1001, 64, 128},
+                                 std::array<std::size_t, 3>{128, 64, 1001}}) {
+      const GemmTester tester = GemmTester().m(m).n(n).k(k).accumulate(true);
+      par::set_num_threads(1);
+      const DenseMatrix one = tester.run(product);
+      par::set_num_threads(4);
+      const DenseMatrix four = tester.run(product);
+      par::set_num_threads(threads);
+      EXPECT_TRUE(bitwise_equal(one, four))
+          << "product " << static_cast<int>(product) << " m=" << m << " n=" << n << " k=" << k;
     }
 }
 
@@ -387,6 +492,65 @@ TEST(GraphSageLayer, EndToEndGradientCheck) {
   const double jm = objective();
   w = save;
   EXPECT_NEAR(layer.linear().weight_grad().at(1, 1), (jp - jm) / (2 * eps), 2e-2);
+}
+
+// The first layer skips its input gradient; that must not change the
+// parameter gradients by a single bit.
+TEST(GraphSageLayer, EmptyDscaledLeavesParameterGradientsBitwiseEqual) {
+  const std::size_t n = 37, in = 11, out = 9;
+  Rng data_rng(21);
+  const DenseMatrix H = random_matrix(n, in, data_rng);
+  const DenseMatrix agg = random_matrix(n, in, data_rng);
+  const DenseMatrix G = random_matrix(n, out, data_rng);
+  DenseMatrix inv_norm(n, 1);
+  for (std::size_t v = 0; v < n; ++v) inv_norm.at(v, 0) = 1.0f / static_cast<real_t>(v % 5 + 1);
+
+  const auto grads = [&](bool want_input_grad) {
+    Rng rng(22);
+    GraphSageLayer layer(in, out, /*apply_relu=*/true, rng);
+    DenseMatrix Y(n, out), dscaled(n, in);
+    layer.forward_from_aggregate(H.cview(), agg.cview(), inv_norm.cview(), Y.view());
+    layer.zero_grad();
+    layer.backward_to_scaled(G.cview(), want_input_grad ? dscaled.view() : MatrixView{});
+    return std::pair{layer.linear().weight_grad(), layer.linear().bias_grad()};
+  };
+  const auto [w_full, b_full] = grads(true);
+  const auto [w_skip, b_skip] = grads(false);
+  EXPECT_TRUE(bitwise_equal(w_full, w_skip));
+  EXPECT_TRUE(bitwise_equal(b_full, b_skip));
+}
+
+TEST(RgcnLayer, EmptyOutputsLeaveParameterGradientsBitwiseEqual) {
+  const std::size_t n = 37, in = 11, out = 9;
+  const int relations = 3;
+  Rng data_rng(23);
+  const DenseMatrix H = random_matrix(n, in, data_rng);
+  std::vector<DenseMatrix> aggs, inv_norms;
+  for (int r = 0; r < relations; ++r) {
+    aggs.push_back(random_matrix(n, in, data_rng));
+    DenseMatrix inv(n, 1);
+    for (std::size_t v = 0; v < n; ++v) inv.at(v, 0) = 1.0f / static_cast<real_t>(v % 3 + 1 + r);
+    inv_norms.push_back(std::move(inv));
+  }
+  const DenseMatrix G = random_matrix(n, out, data_rng);
+
+  const auto grads = [&](bool want_input_grads) {
+    Rng rng(24);
+    RgcnLayer layer(in, out, relations, /*apply_relu=*/true, rng);
+    DenseMatrix Y(n, out), dH_self(n, in);
+    std::vector<DenseMatrix> dscaled(want_input_grads ? relations : 0);
+    layer.forward_from_aggregates(H.cview(), aggs, inv_norms, Y.view());
+    layer.zero_grad();
+    layer.backward(G.cview(), dscaled, want_input_grads ? dH_self.view() : MatrixView{});
+    std::vector<ParamRef> params;
+    layer.collect_params(params);
+    std::vector<real_t> flat;
+    for (const ParamRef& p : params) flat.insert(flat.end(), p.grad, p.grad + p.size);
+    return flat;
+  };
+  const std::vector<real_t> full = grads(true), skip = grads(false);
+  ASSERT_EQ(full.size(), skip.size());
+  EXPECT_EQ(std::memcmp(full.data(), skip.data(), full.size() * sizeof(real_t)), 0);
 }
 
 }  // namespace

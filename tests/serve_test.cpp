@@ -488,6 +488,26 @@ TEST(InferenceServer, ValidatesConfigurationAndInput) {
   EXPECT_THROW(server.submit(dataset.num_vertices(), nullptr), std::out_of_range);
 }
 
+// A batch whose last vertex is out of range throws only after the requests
+// already queued have replied: they write into the batch call's own frame.
+TEST(InferenceServer, BatchWithOutOfRangeVertexThrowsAfterDraining) {
+  const Dataset dataset = make_serving_dataset();
+  ServeConfig cfg;
+  cfg.num_workers = 2;
+  cfg.max_batch = 8;
+  cfg.fanouts = {4, 4};
+  InferenceServer server(dataset, cfg);
+  server.publish(ModelSnapshot::random(sage_spec(dataset), /*seed=*/13, /*version=*/1));
+  server.start();
+  std::vector<vid_t> batch(64);
+  for (std::size_t i = 0; i < batch.size(); ++i) batch[i] = static_cast<vid_t>(i);
+  batch.push_back(dataset.num_vertices());
+  EXPECT_THROW(server.infer_batch(batch), std::out_of_range);
+  const InferResult after = server.infer_sync(3);
+  EXPECT_FALSE(after.logits.empty());
+  server.stop();
+}
+
 // ----------------------------------------------------------------- sharded
 
 TEST(ShardedServing, TwoRanksMatchSingleProcessBitwise) {
